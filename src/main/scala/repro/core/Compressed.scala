@@ -75,10 +75,9 @@ object Sizes {
   }
 }
 
-/** Layout record for one reference instance inside the blob (bit offsets).
-  * Offsets are derivable by a sequential scan of the self-delimiting blob,
-  * so they are not charged to compressed storage; we cache them for partial
-  * decompression (the paper's index stores the ones queries need).
+/** Bit offsets of one reference instance inside the blob. Derived from the
+  * blob by [[Decompressor.layout]], never stored (the paper's index keeps
+  * the offsets queries need).
   */
 final case class RefLayout(
     origIdx: Int,   // instance index in the original trajectory
@@ -88,10 +87,10 @@ final case class RefLayout(
     tfOff: Int,     // stored T′ (first/last bits omitted): eLen − 2 bits
     dOff: Int,
     pOff: Int,
-    prob: Double,   // quantized probability (cached)
+    prob: Double,   // quantized probability
 )
 
-/** Layout record for one non-reference instance inside the blob. */
+/** Bit offsets of one non-reference instance inside the blob. */
 final case class NonRefLayout(
     origIdx: Int,
     refSlot: Int,        // index into the refs array
@@ -104,21 +103,35 @@ final case class NonRefLayout(
     comEFactorSpans: Array[Int], // start entry (in E(nonref)) of each factor
 )
 
-/** A compressed uncertain trajectory: one self-delimiting bit blob plus
-  * cached layout. `sizes` records the per-component bit accounting.
+/** Where every component of a blob starts: the result of one sequential
+  * parse of the self-delimiting blob.
+  */
+final case class Layout(
+    tOff: Int,                   // offset of t0
+    deltaOffs: Array[Int],       // offset of each Δ code (length n−1)
+    refs: Array[RefLayout],
+    nonRefs: Array[NonRefLayout],
+)
+
+/** A compressed uncertain trajectory: one self-delimiting bit blob and the
+  * [[DatasetMeta]] whose widths wrote it, so that a stored row decodes by
+  * itself. `sizes` records the per-component bit accounting. The layout is
+  * derived from the blob on first use and is not serialized.
   */
 final case class CompressedTraj(
     id: Long,
     n: Int, // number of samples
     blob: Array[Byte],
     blobBits: Int,
-    tOff: Int,                   // offset of t0
-    deltaOffs: Array[Int],       // offset of each Δ code (length n−1)
-    refs: Array[RefLayout],
-    nonRefs: Array[NonRefLayout],
     sizes: Sizes,
+    meta: DatasetMeta,
 ) {
   @transient lazy val bits: BitVec = BitVec.fromBytes(blob, blobBits)
+  @transient lazy val layout: Layout = Decompressor.layout(this)
 
+  def tOff: Int = layout.tOff
+  def deltaOffs: Array[Int] = layout.deltaOffs
+  def refs: Array[RefLayout] = layout.refs
+  def nonRefs: Array[NonRefLayout] = layout.nonRefs
   def numInstances: Int = refs.length + nonRefs.length
 }

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.traj.{Instance, UTraj}
+import repro.traj.UTraj
 import repro.util.{BitWriter, Bits}
 import scala.util.Random
 
@@ -51,122 +51,64 @@ object Compressor {
     val pddpD = meta.pddpD
     val pddpP = meta.pddpP
     val w = new BitWriter
+    /** Bits that `write` appends to the blob. */
+    def bitsOf(write: => Unit): Long = { val before = w.length; write; (w.length - before).toLong }
     var szT = 0L; var szE = 0L; var szD = 0L; var szTf = 0L; var szP = 0L
     var szSv = 0L; var szOv = 0L
 
     // header: n, N, R
-    w.writeBits(n.toLong, 16)
-    w.writeBits(insts.length.toLong, 16)
-    w.writeBits(assignment.refs.length.toLong, 16)
-    szOv += 48
+    szOv += bitsOf {
+      w.writeBits(n.toLong, 16)
+      w.writeBits(insts.length.toLong, 16)
+      w.writeBits(assignment.refs.length.toLong, 16)
+    }
 
     // T̂(Tuʲ): SIAR + improved Exp-Golomb
     val (t0, deltas) = Siar.represent(traj.times, meta.ts)
-    val tOff = w.length
-    w.writeBits(t0.toLong, meta.t0Bits)
-    val deltaOffs = new Array[Int](deltas.length)
-    var i = 0
-    while (i < deltas.length) {
-      deltaOffs(i) = w.length
-      ExpGolomb.encode(deltas(i), w)
-      i += 1
+    szT += bitsOf {
+      w.writeBits(t0.toLong, meta.t0Bits)
+      deltas.foreach(ExpGolomb.encode(_, w))
     }
-    szT += (w.length - tOff).toLong
 
     // references
     val refSlotOf = assignment.refs.zipWithIndex.toMap
     val dCodesOf: Array[Array[Long]] = insts.map(in => in.dists.map(pddpD.quantize))
     val origIdxBits = Bits.widthFor(insts.length.toLong) // N is in the header
-    val refLayouts = assignment.refs.map { origIdx =>
+    assignment.refs.foreach { origIdx =>
       val in = insts(origIdx)
-      w.writeBits(origIdx.toLong, origIdxBits); szOv += origIdxBits
-      val eLenOff = w.length
-      ExpGolomb.encodeUnsigned(in.edges.length, w); szE += w.length - eLenOff
-      val svOff = w.length
-      w.writeBits(in.sv.toLong, meta.svBits); szSv += meta.svBits
-      val eOff = w.length
-      in.edges.foreach(no => w.writeBits(no.toLong, meta.symBits))
-      szE += (w.length - eOff).toLong
-      val tfOff = w.length
-      storedTf(in.tflags).foreach(w.writeBit)
-      szTf += (w.length - tfOff).toLong
-      val dOff = w.length
-      dCodesOf(origIdx).foreach(c => w.writeBits(c, pddpD.bits))
-      szD += (w.length - dOff).toLong
-      val pOff = w.length
-      pddpP.encode(in.prob, w); szP += pddpP.bits
-      RefLayout(origIdx, in.edges.length, svOff, eOff, tfOff, dOff, pOff, pddpP.roundTrip(in.prob))
-    }.toArray
+      szOv += bitsOf(w.writeBits(origIdx.toLong, origIdxBits))
+      szE += bitsOf(ExpGolomb.encodeUnsigned(in.edges.length, w))
+      szSv += bitsOf(w.writeBits(in.sv.toLong, meta.svBits))
+      szE += bitsOf(in.edges.foreach(no => w.writeBits(no.toLong, meta.symBits)))
+      szTf += bitsOf(storedTf(in.tflags).foreach(w.writeBit))
+      szD += bitsOf(dCodesOf(origIdx).foreach(c => w.writeBits(c, pddpD.bits)))
+      szP += bitsOf(pddpP.encode(in.prob, w))
+    }
 
     // non-references (in original-index order for determinism)
-    val nonRefIdxs = insts.indices.filter(assignment.refOf.contains).toArray
     val refSlotBits = Bits.widthFor(math.max(1, assignment.refs.length).toLong)
-    val nonRefLayouts = nonRefIdxs.map { origIdx =>
+    insts.indices.filter(assignment.refOf.contains).foreach { origIdx =>
       val in = insts(origIdx)
       val refIdx = assignment.refOf(origIdx)
-      val refSlot = refSlotOf(refIdx)
       val refInst = insts(refIdx)
-      w.writeBits(origIdx.toLong, origIdxBits); szOv += origIdxBits
-      w.writeBits(refSlot.toLong, refSlotBits); szOv += refSlotBits
-      val pOff = w.length
-      pddpP.encode(in.prob, w); szP += pddpP.bits
-
-      // Com_E
-      val comEOff = w.length
-      val eFactors = RefFactors.factorizeE(refInst.edges, in.edges)
-      val eLay = RefFactors.ELayout(refInst.edges.length, meta.symBits)
-      // Per-factor offsets for the StIU ma.pos field.
-      val factorOffs = new Array[Int](eFactors.length)
-      val factorSpans = new Array[Int](eFactors.length)
-      locally {
-        // emit while tracking offsets (mirrors RefFactors.encodeE bit-exactly)
-        ExpGolomb.encodeUnsigned(eFactors.length, w)
-        if (eFactors.nonEmpty) {
-          val lastHasM = eFactors.last match { case _: RefFactors.Sl => false; case _ => true }
-          w.writeBit(lastHasM)
-          var span = 0
-          eFactors.zipWithIndex.foreach { case (f, fi) =>
-            factorOffs(fi) = w.length
-            factorSpans(fi) = span
-            f match {
-              case RefFactors.Slm(s, l, m) =>
-                w.writeBits(s.toLong, eLay.sBits); w.writeBits((l - 1).toLong, eLay.lBits)
-                w.writeBits(m.toLong, eLay.symBits)
-                span += l + 1
-              case RefFactors.Sl(s, l) =>
-                w.writeBits(s.toLong, eLay.sBits); w.writeBits((l - 1).toLong, eLay.lBits)
-                span += l
-              case RefFactors.Sm(m) =>
-                w.writeBits(eLay.refLen.toLong, eLay.sBits); w.writeBits(m.toLong, eLay.symBits)
-                span += 1
-            }
-          }
-        }
+      szOv += bitsOf {
+        w.writeBits(origIdx.toLong, origIdxBits)
+        w.writeBits(refSlotOf(refIdx).toLong, refSlotBits)
       }
-      szE += (w.length - comEOff).toLong
-
-      // Com_T′
-      val comTfOff = w.length
-      val tfCom = RefFactors.factorizeTf(storedTf(refInst.tflags), storedTf(in.tflags))
-      RefFactors.encodeTf(tfCom, RefFactors.TfLayout(math.max(0, refInst.edges.length - 2)), w)
-      szTf += (w.length - comTfOff).toLong
-
-      // Com_D
-      val comDOff = w.length
-      val dFactors = RefFactors.factorizeD(dCodesOf(refIdx), dCodesOf(origIdx))
-      RefFactors.encodeD(dFactors, RefFactors.DLayout(n, pddpD.bits), w)
-      szD += (w.length - comDOff).toLong
-
-      NonRefLayout(origIdx, refSlot, pOff, comEOff, comTfOff, comDOff,
-        pddpP.roundTrip(in.prob), factorOffs, factorSpans)
+      szP += bitsOf(pddpP.encode(in.prob, w))
+      szE += bitsOf(RefFactors.encodeE(RefFactors.factorizeE(refInst.edges, in.edges),
+        RefFactors.ELayout(refInst.edges.length, meta.symBits), w))
+      szTf += bitsOf(RefFactors.encodeTf(RefFactors.factorizeTf(storedTf(refInst.tflags), storedTf(in.tflags)),
+        RefFactors.TfLayout(math.max(0, refInst.edges.length - 2)), w))
+      szD += bitsOf(RefFactors.encodeD(RefFactors.factorizeD(dCodesOf(refIdx), dCodesOf(origIdx)),
+        RefFactors.DLayout(n, pddpD.bits), w))
     }
 
     val vec = w.toBitVec
     val sizes = Sizes(szT, szE, szD, szTf, szP, szSv, szOv)
     require(sizes.total == vec.length.toLong,
       s"size accounting mismatch: ${sizes.total} vs ${vec.length}")
-    val ct = CompressedTraj(traj.id, n, vec.toBytes, vec.length, tOff, deltaOffs,
-      refLayouts, nonRefLayouts, sizes)
+    val ct = CompressedTraj(traj.id, n, vec.toBytes, vec.length, sizes, meta)
     Result(ct, assignment)
   }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.traj.{Instance, UTraj}
-import repro.util.BitReader
+import repro.util.{BitReader, Bits}
 
 /** Full and partial decompression of [[CompressedTraj]] blobs (§5.1).
   *
@@ -12,6 +12,74 @@ import repro.util.BitReader
   * factor lists with Eq. 4–6 instead of materializing T′.
   */
 object Decompressor {
+
+  // ------------------------------------------------------------- layout
+
+  /** One sequential parse of `ct`'s blob, with the decoders below, into the
+    * bit offset of every component. Fails with an `IllegalArgumentException`
+    * naming the trajectory unless the parse ends exactly at `blobBits`.
+    */
+  def layout(ct: CompressedTraj): Layout =
+    try parseLayout(ct)
+    catch {
+      case e: IllegalArgumentException => throw new IllegalArgumentException(
+        s"trajectory ${ct.id}: blob of ${ct.blobBits} bits does not parse: ${e.getMessage}", e)
+    }
+
+  private def parseLayout(ct: CompressedTraj): Layout = {
+    val meta = ct.meta
+    val pddpD = meta.pddpD
+    val pddpP = meta.pddpP
+    val r = new BitReader(ct.bits)
+    val n = r.readBits(16).toInt
+    val numInsts = r.readBits(16).toInt
+    val numRefs = r.readBits(16).toInt
+    require(n == ct.n && numRefs <= numInsts, s"header n=$n, N=$numInsts, R=$numRefs")
+
+    val tOff = r.pos
+    r.readBits(meta.t0Bits)
+    val deltaOffs = Array.fill(n - 1) { val at = r.pos; ExpGolomb.decode(r); at }
+
+    val origIdxBits = Bits.widthFor(numInsts.toLong)
+    val refs = Array.fill(numRefs) {
+      val origIdx = r.readBits(origIdxBits).toInt
+      val eLen = ExpGolomb.decodeUnsigned(r)
+      val svOff = r.pos
+      val eOff = svOff + meta.svBits
+      val tfOff = eOff + eLen * meta.symBits
+      val dOff = tfOff + math.max(0, eLen - 2)
+      val pOff = dOff + n * pddpD.bits
+      r.seek(pOff)
+      RefLayout(origIdx, eLen, svOff, eOff, tfOff, dOff, pOff, pddpP.decode(r))
+    }
+
+    def entries(f: RefFactors.EFactor): Int = f match {
+      case RefFactors.Slm(_, l, _) => l + 1
+      case RefFactors.Sl(_, l)     => l
+      case _: RefFactors.Sm        => 1
+    }
+    val refSlotBits = Bits.widthFor(math.max(1, numRefs).toLong)
+    val nonRefs = Array.fill(numInsts - numRefs) {
+      val origIdx = r.readBits(origIdxBits).toInt
+      val refSlot = r.readBits(refSlotBits).toInt
+      require(refSlot < numRefs, s"reference slot $refSlot of $numRefs")
+      val pOff = r.pos
+      val prob = pddpP.decode(r)
+      val refLen = refs(refSlot).eLen
+      val comEOff = r.pos
+      val factorOffs = Array.newBuilder[Int]
+      val eFactors = RefFactors.decodeE(RefFactors.ELayout(refLen, meta.symBits), r, factorOffs += _)
+      val comTfOff = r.pos
+      RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), r)
+      val comDOff = r.pos
+      RefFactors.decodeD(RefFactors.DLayout(n, pddpD.bits), r)
+      NonRefLayout(origIdx, refSlot, pOff, comEOff, comTfOff, comDOff, prob,
+        factorOffs.result(), eFactors.scanLeft(0)(_ + entries(_)).init.toArray)
+    }
+
+    require(r.pos == ct.blobBits, s"the parse ends at bit ${r.pos}")
+    Layout(tOff, deltaOffs, refs, nonRefs)
+  }
 
   // -------------------------------------------------------------- times
 

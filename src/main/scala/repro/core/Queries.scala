@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.core.GroundTruth.Rect
-import repro.index.StIU
+import repro.index.{Grid, StIU}
 import repro.network.RoadNetwork
 import repro.traj.{Instance, PathOps}
 import scala.collection.mutable
@@ -117,24 +117,12 @@ final class QueryEngine(
     */
   def when(trajId: Long, vs: Int, ve: Int, rd: Double, alpha: Double): Set[Double] = {
     val ct = store(trajId)
-    val e = net.edgeBetween(vs, ve).getOrElse(return Set.empty)
+    if (net.edgeBetween(vs, ve).isEmpty) return Set.empty
     val x = net.xs(vs) + rd * (net.xs(ve) - net.xs(vs))
     val y = net.ys(vs) + rd * (net.ys(ve) - net.ys(vs))
-    val cell = index.grid.cellOf(x, y)
-    val _ = e
-
-    // Tuples of the cell (3×3 neighbourhood fallback covers corner-cutting
-    // edges that the arrival sampling may have missed).
-    val tuples = {
-      val own = index.refTuples.getOrElse((trajId, cell), Vector.empty)
-      if (own.nonEmpty) own
-      else neighbourCells(cell).flatMap(c => index.refTuples.getOrElse((trajId, c), Vector.empty))
-    }
+    val tuples = index.refTuples.getOrElse((trajId, index.grid.cellOf(x, y)), Vector.empty)
     if (tuples.isEmpty) return Set.empty
-    val times = timesFor(trajId, Int.MinValue) match {
-      case Some((ts, 0)) => ts
-      case _             => Decompressor.times(meta, ct)
-    }
+    val times = Decompressor.times(meta, ct)
 
     val out = mutable.Set[Double]()
     val seenGroups = mutable.Set[Int]()
@@ -162,17 +150,6 @@ final class QueryEngine(
       }
     }
     out.toSet
-  }
-
-  private def neighbourCells(cell: Int): Seq[Int] = {
-    val g = index.grid
-    val cx = cell % g.nx
-    val cy = cell / g.nx
-    for {
-      dy <- -1 to 1; dx <- -1 to 1
-      nx = cx + dx; ny = cy + dy
-      if nx >= 0 && nx < g.nx && ny >= 0 && ny < g.ny
-    } yield ny * g.nx + nx
   }
 
   // -------------------------------------------------------------- range
@@ -249,8 +226,6 @@ final class QueryEngine(
     */
   private def subpathVertices(inst: Instance, i: Int): IndexedSeq[(Double, Double)] = {
     val es = PathOps.pathEdges(net, inst)
-    val entryOf = StIU.entryIndexOfEdge(inst)
-    val _ = entryOf
     // Owning edge ordinal of samples i and i+1.
     val ords = sampleEdgeOrdinals(inst)
     val a = ords(i)
@@ -278,31 +253,9 @@ final class QueryEngine(
     */
   private def subpathIntersects(sp: IndexedSeq[(Double, Double)], re: Rect): Boolean = {
     if (sp.exists { case (x, y) => re.contains(x, y) }) return true
-    var i = 0
-    while (i < sp.length - 1) {
-      if (segIntersectsRect(sp(i), sp(i + 1), re)) return true
-      i += 1
+    sp.indices.dropRight(1).exists { i =>
+      val ((x0, y0), (x1, y1)) = (sp(i), sp(i + 1))
+      !Grid.entry(x0, y0, x1, y1, re).isNaN
     }
-    false
-  }
-
-  private def segIntersectsRect(a: (Double, Double), b: (Double, Double), re: Rect): Boolean = {
-    // Liang–Barsky clipping.
-    val (x0, y0) = a; val (x1, y1) = b
-    val dx = x1 - x0; val dy = y1 - y0
-    var t0 = 0.0; var t1 = 1.0
-    val p = Array(-dx, dx, -dy, dy)
-    val q = Array(x0 - re.minX, re.maxX - x0, y0 - re.minY, re.maxY - y0)
-    var k = 0
-    while (k < 4) {
-      if (p(k) == 0) { if (q(k) < 0) return false }
-      else {
-        val r = q(k) / p(k)
-        if (p(k) < 0) { if (r > t1) return false; if (r > t0) t0 = r }
-        else { if (r < t0) return false; if (r < t1) t1 = r }
-      }
-      k += 1
-    }
-    true
   }
 }

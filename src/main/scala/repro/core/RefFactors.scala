@@ -104,11 +104,15 @@ object RefFactors {
     }
   }
 
-  def decodeE(lay: ELayout, r: BitReader): IndexedSeq[EFactor] = {
+  /** Decode Com_E; `atFactor` receives the bit offset at which each factor
+    * starts (the StIU `ma.pos`).
+    */
+  def decodeE(lay: ELayout, r: BitReader, atFactor: Int => Unit = _ => ()): IndexedSeq[EFactor] = {
     val h = ExpGolomb.decodeUnsigned(r)
     if (h == 0) return Vector.empty
     val lastHasM = r.readBit()
     (1 to h).map { i =>
+      atFactor(r.pos)
       val s = r.readBits(lay.sBits).toInt
       if (s == lay.refLen) Sm(r.readBits(lay.symBits).toInt)
       else {

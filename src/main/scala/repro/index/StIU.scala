@@ -41,7 +41,6 @@ object StIU {
       bySlot: Map[Int, IndexedSeq[Long]],                     // slot -> trajIds
       refTuples: Map[(Long, Int), IndexedSeq[RefTuple]],      // (trajId, cell) -> tuples
       nonRefTuples: Map[(Long, Int), IndexedSeq[NonRefTuple]],
-      refCells: Map[Long, Map[Int, IndexedSeq[Int]]],         // trajId -> refSlot -> cells
   ) {
     /** Index size in bits under fixed-width fields (for the Fig. 9 index
       * size metric): temporal = id 32 + slot 16 + t.start 17 + t.no 12 +
@@ -57,33 +56,21 @@ object StIU {
     }
   }
 
-  /** Cells visited by an instance path, with the entering-edge ordinal of
-    * the first arrival: samples the start vertex plus the midpoint and end
-    * of every edge (edges are short relative to cells).
+  /** Cells visited by an instance path, with the entering path-edge
+    * ordinal of the first arrival: the start vertex's cell, then every cell
+    * an edge segment touches ([[Grid.cellsAlong]]), in path order.
     * Returns (cell -> entering path-edge ordinal, or −1 for the start cell)
     * in arrival order.
     */
   def cellArrivals(net: RoadNetwork, grid: Grid, inst: Instance): IndexedSeq[(Int, Int)] = {
     val es = PathOps.pathEdges(net, inst)
     val out = mutable.LinkedHashMap[Int, Int]()
-    val startCell = grid.cellOf(net.xs(inst.sv), net.ys(inst.sv))
-    out(startCell) = -1
-    val step = math.min(grid.cellW, grid.cellH) / 3.0
+    out(grid.cellOf(net.xs(inst.sv), net.ys(inst.sv))) = -1
     var j = 0
     while (j < es.length) {
       val e = es(j)
-      // Sample the edge densely enough (spacing < cell/3) that no traversed
-      // cell is missed, then the edge endpoint.
-      val k = math.max(1, math.ceil(e.length / step).toInt)
-      var i = 1
-      while (i <= k) {
-        val f = i.toDouble / k
-        val c = grid.cellOf(
-          net.xs(e.from) + f * (net.xs(e.to) - net.xs(e.from)),
-          net.ys(e.from) + f * (net.ys(e.to) - net.ys(e.from)))
-        if (!out.contains(c)) out(c) = j
-        i += 1
-      }
+      grid.cellsAlong(net.xs(e.from), net.ys(e.from), net.xs(e.to), net.ys(e.to))
+        .foreach(c => if (!out.contains(c)) out(c) = j)
       j += 1
     }
     out.toVector
@@ -269,9 +256,6 @@ object StIU {
       temporal.groupBy(_.slot).view.mapValues(_.map(_.trajId).distinct.toVector).toMap,
       refT.groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
       nonRefT.groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
-      refT.groupBy(_.trajId).view
-        .mapValues(_.groupBy(_.refSlot).view.mapValues(_.map(_.cell).toVector).toMap)
-        .toMap,
     )
   }
 }

@@ -1,7 +1,6 @@
 package repro.spark
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.core.GroundTruth.Rect
 import repro.index.{Grid, StIU}
@@ -20,7 +19,9 @@ import repro.traj.{UTraj, UncertainTrajGen}
   */
 object UtcqSpark {
 
-  /** A compressed trajectory with its StIU index entries inline. */
+  /** A compressed trajectory (its blob and the widths that wrote it) with
+    * its StIU index entries inline.
+    */
   final case class CompressedRow(
       ct: CompressedTraj,
       temporal: Seq[StIU.TemporalEntry],
@@ -47,8 +48,9 @@ object UtcqSpark {
   }
 
   /** Compress a Dataset of uncertain trajectories and build their StIU
-    * entries, partitioned by trajectory id. Pure per-trajectory kernels ⇒
-    * embarrassingly parallel.
+    * entries, partition by partition as the input is laid out: each
+    * trajectory is compressed on its own with an RNG seeded from
+    * (params.seed, id), so no partitioning can change a blob.
     */
   def compress(
       spark: SparkSession,
@@ -60,16 +62,14 @@ object UtcqSpark {
     import spark.implicits._
     val bNet = spark.sparkContext.broadcast(net)
     val grid = Grid.over(net, params.gridCells)
-    trajs
-      .repartition(col("id"))
-      .mapPartitions { it =>
-        val n = bNet.value
-        it.map { traj =>
-          val res = Compressor.compress(meta, params, traj)
-          val (te, rt, nt) = StIU.buildFor(n, grid, meta, params, traj, res.ct)
-          CompressedRow(res.ct, te, rt, nt)
-        }
+    trajs.mapPartitions { it =>
+      val n = bNet.value
+      it.map { traj =>
+        val res = Compressor.compress(meta, params, traj)
+        val (te, rt, nt) = StIU.buildFor(n, grid, meta, params, traj, res.ct)
+        CompressedRow(res.ct, te, rt, nt)
       }
+    }
   }
 
   /** The StIU index as exploded DataFrames for Catalyst-side filtering:

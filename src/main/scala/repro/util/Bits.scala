@@ -58,21 +58,25 @@ final class BitVec(private val words: Array[Long], val length: Int) extends Seri
 
   /** Read `width` bits starting at `pos` as an unsigned value. */
   def readBits(pos: Int, width: Int): Long = {
-    var v = 0L
-    var i = 0
-    while (i < width) { v = (v << 1) | (if (apply(pos + i)) 1L else 0L); i += 1 }
-    v
+    if (width == 0) return 0L
+    require(width <= 64 && pos >= 0 && pos <= length - width, s"bits [$pos, ${pos + width}) out of [0,$length)")
+    val off = pos & 63
+    val high = words(pos >>> 6) << off // the first word's bits from `pos` on, at the top
+    if (off + width <= 64) high >>> (64 - width)
+    else (high >>> (64 - width)) | (words((pos >>> 6) + 1) >>> (128 - off - width))
   }
 
-  /** Serialize to bytes (for Spark blobs); length is carried separately. */
+  /** Serialize to bytes (for Spark blobs); length is carried separately.
+    * Bits past `length` in the last byte are zero.
+    */
   def toBytes: Array[Byte] = {
-    val nBytes = (length + 7) / 8
-    val out = new Array[Byte](nBytes)
+    val out = new Array[Byte]((length + 7) / 8)
     var i = 0
-    while (i < length) {
-      if (apply(i)) out(i >>> 3) = (out(i >>> 3) | (1 << (7 - (i & 7)))).toByte
+    while (i < out.length) {
+      out(i) = (words(i >>> 3) >>> (56 - 8 * (i & 7))).toByte
       i += 1
     }
+    if ((length & 7) != 0) out(out.length - 1) = (out(out.length - 1) & (0xff << (8 - (length & 7)))).toByte
     out
   }
 
@@ -99,14 +103,17 @@ object BitVec {
     w.toBitVec
   }
 
+  /** The first `nbits` bits of `bytes`, MSB-first, eight bytes per word. */
   def fromBytes(bytes: Array[Byte], nbits: Int): BitVec = {
-    val w = new BitWriter
+    require(nbits >= 0 && nbits <= 8L * bytes.length, s"$nbits bits in ${bytes.length} bytes")
+    val words = new Array[Long]((nbits + 63) >>> 6)
+    val nBytes = (nbits + 7) >>> 3
     var i = 0
-    while (i < nbits) {
-      w.writeBit(((bytes(i >>> 3) >> (7 - (i & 7))) & 1) == 1)
+    while (i < nBytes) {
+      words(i >>> 3) |= (bytes(i) & 0xffL) << (56 - 8 * (i & 7))
       i += 1
     }
-    w.toBitVec
+    new BitVec(words, nbits)
   }
 
   /** Parse a "0101" debug string; used by tests to pin paper examples. */

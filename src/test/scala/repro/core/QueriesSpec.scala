@@ -96,6 +96,20 @@ class QueriesSpec extends SparkSpec {
     }
   }
 
+  test("when finds a pass in a cell its edge only clips (HZ trajectory 51)") {
+    val hzNet = RoadNetworkGen.generate(RoadNetworkGen.HZ)
+    val hzParams = Params()
+    val hzMeta = DatasetMeta.of(hzNet, UncertainTrajGen.HZ.defaultInterval, hzParams)
+    val hzGrid = Grid.over(hzNet, hzParams.gridCells)
+    val hz = UncertainTrajGen.dataset(hzNet, UncertainTrajGen.HZ, 52)
+    val store = hz.map(t => t.id -> Compressor.compress(hzMeta, hzParams, t).ct).toMap
+    val parts = hz.map(t => StIU.buildFor(hzNet, hzGrid, hzMeta, hzParams, t, store(t.id)))
+    val hzEngine = new QueryEngine(hzNet, hzMeta, StIU.assemble(hzGrid, hzParams.slotSeconds, parts), store)
+    val got = hzEngine.when(51, 2110, 2053, 0.2373, 0.3)
+    assert(got.size == 1 && math.abs(got.head - 79196.06) < 0.005, got)
+    assert(got == GroundTruth.when(hzNet, Decompressor.decompress(hzMeta, store(51)), 2110, 2053, 0.2373, 0.3))
+  }
+
   test("when on an edge no instance passes is empty") {
     val t = trajs.head
     // find an edge far from the trajectory

@@ -78,6 +78,40 @@ class StIUSpec extends SparkSpec {
     }
   }
 
+  test("arrivals hold the cell of every point along every edge (DK, CD, HZ)") {
+    val rnd = new scala.util.Random(7)
+    val rds = (0 to 8).map(_ / 8.0) ++ Seq.fill(8)(rnd.nextDouble())
+    Seq(RoadNetworkGen.DK -> UncertainTrajGen.DK, RoadNetworkGen.CD -> UncertainTrajGen.CD,
+        RoadNetworkGen.HZ -> UncertainTrajGen.HZ).foreach { case (netP, trajP) =>
+      val n = RoadNetworkGen.generate(netP)
+      Seq(16, 32).map(Grid.over(n, _)).foreach { g =>
+        UncertainTrajGen.dataset(n, trajP, 60).foreach { t =>
+          t.instances.foreach { inst =>
+            val cells = StIU.cellArrivals(n, g, inst).map(_._1).toSet
+            PathOps.pathEdges(n, inst).foreach { e =>
+              rds.foreach { rd =>
+                val x = n.xs(e.from) + rd * (n.xs(e.to) - n.xs(e.from))
+                val y = n.ys(e.from) + rd * (n.ys(e.to) - n.ys(e.from))
+                assert(cells.contains(g.cellOf(x, y)),
+                  s"${netP} traj ${t.id}: edge ${e.from}->${e.to} at rd $rd, grid ${g.nx}")
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  test("cellsAlong lists a cell the segment only clips, in order of entry") {
+    val g = Grid(0, 0, 1, 1, 4, 4)
+    // From cell 0 to cell 5 through cell 4 for a sixth of its length, less
+    // than the spacing of samples at cell/3.
+    assert(g.cellsAlong(0.2, 0.75, 1.8, 1.35).toSeq == Seq(0, 4, 5))
+    // Through a grid corner: the cells sharing it come in row-major order.
+    assert(g.cellsAlong(0.5, 0.5, 1.5, 1.5).toSeq == Seq(0, 1, 4, 5))
+    assert(Grid.entry(0, 0, 1, 0, repro.core.GroundTruth.Rect(2, 2, 3, 3)).isNaN)
+  }
+
   test("p_total sums the probabilities of overlapping group members") {
     parts.take(15).foreach { case (t, ct, (_, refTuples, _)) =>
       refTuples.foreach { rt =>

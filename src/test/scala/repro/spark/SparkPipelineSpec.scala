@@ -50,6 +50,25 @@ class SparkPipelineSpec extends SparkSpec {
     }
   }
 
+  test("rows read back from parquet decode by themselves") {
+    import spark.implicits._
+    val dir = java.nio.file.Files.createTempDirectory("utcq-parquet")
+    try {
+      rows.write.mode("overwrite").parquet(dir.resolve("compressed").toString)
+      val back = spark.read.parquet(dir.resolve("compressed").toString).as[UtcqSpark.CompressedRow].collect()
+      val locals = UncertainTrajGen.dataset(pipe.net, UncertainTrajGen.CD, 40).map(t => t.id -> t).toMap
+      assert(back.length == 40)
+      back.foreach { row =>
+        assert(row.ct.meta == pipe.meta)
+        val dec = Decompressor.decompress(row.ct.meta, row.ct)
+        assert(dec.times.toSeq == locals(row.ct.id).times.toSeq)
+        assert(dec.instances.map(_.edges.toSeq).toSeq == locals(row.ct.id).instances.map(_.edges.toSeq).toSeq)
+      }
+    } finally {
+      java.nio.file.Files.walk(dir).sorted(java.util.Comparator.reverseOrder()).forEach(p => java.nio.file.Files.delete(p))
+    }
+  }
+
   test("index frames expose the StIU entries relationally") {
     val (te, rt, nt) = UtcqSpark.indexFrames(spark, rows)
     assert(te.columns.toSet == Set("trajId", "slot", "tStart", "tNo", "tPos"))
