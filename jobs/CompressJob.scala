@@ -41,10 +41,9 @@ object CompressJob {
 
     outDir.foreach { dir =>
       rows.write.mode("overwrite").parquet(s"$dir/compressed")
-      val (te, rt, nt) = UtcqSpark.indexFrames(spark, rows)
+      val (te, rt) = UtcqSpark.indexFrames(spark, rows)
       te.write.mode("overwrite").parquet(s"$dir/index_temporal")
       rt.write.mode("overwrite").parquet(s"$dir/index_ref")
-      nt.write.mode("overwrite").parquet(s"$dir/index_nonref")
     }
     spark.stop()
   }
@@ -65,7 +64,7 @@ object JobDefaults {
     * launched directly (e.g. `sbt "runMain repro.jobs.Table8Job"`).
     */
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .appName(name)
       .config("spark.master", sys.props.getOrElse("spark.master", "local[*]"))
       .config("spark.sql.shuffle.partitions", "64")

@@ -90,7 +90,13 @@ final case class RefLayout(
     prob: Double,   // quantized probability
 )
 
-/** Bit offsets of one non-reference instance inside the blob. */
+/** Bit offsets of one non-reference instance inside the blob.
+  *
+  * `comEFactorOffs`/`comEFactorSpans` locate each Com_E factor. No program
+  * path reads them since non-references get no StIU tuples of their own
+  * (see [[repro.index.StIU]]); they stay because the benchmark under
+  * `utcqbench/` reads them, and go when it stops doing so.
+  */
 final case class NonRefLayout(
     origIdx: Int,
     refSlot: Int,        // index into the refs array
@@ -99,7 +105,7 @@ final case class NonRefLayout(
     comTfOff: Int,
     comDOff: Int,
     prob: Double,
-    comEFactorOffs: Array[Int], // bit offset of each Com_E factor (for ma.pos)
+    comEFactorOffs: Array[Int], // bit offset of each Com_E factor
     comEFactorSpans: Array[Int], // start entry (in E(nonref)) of each factor
 )
 

@@ -21,6 +21,31 @@ object Compressor {
     if (eLen == 1) Array(true)
     else (true +: stored.toVector :+ true).toArray
 
+  /** Width of the blob header's n, N and R fields. */
+  val HeaderBits: Int = 16
+
+  /** Fail with an `IllegalArgumentException` naming the trajectory and the
+    * limit when `traj` is beyond what the blob format holds: n or N ≥
+    * 2^[[HeaderBits]], t0 outside [0, 2^t0Bits), or a SIAR Δ outside
+    * ±[[ExpGolomb.MaxAbs]]. [[compress]] checks this before any other work,
+    * since the score matrix of N instances alone is N × N.
+    */
+  def requireEncodable(meta: DatasetMeta, traj: UTraj): Unit = {
+    def fail(what: String): Nothing = throw new IllegalArgumentException(s"trajectory ${traj.id}: $what")
+    val maxCount = (1 << HeaderBits) - 1
+    if (traj.numSamples > maxCount) fail(s"${traj.numSamples} samples, at most $maxCount fit the header")
+    if (traj.instances.length > maxCount) fail(s"${traj.instances.length} instances, at most $maxCount fit the header")
+    val t0 = traj.times(0)
+    if (t0 < 0 || t0 >= (1 << meta.t0Bits)) fail(s"t0 = $t0 outside [0, 2^${meta.t0Bits})")
+    var i = 1
+    while (i < traj.numSamples) {
+      val delta = traj.times(i).toLong - traj.times(i - 1) - meta.ts
+      if (math.abs(delta) > ExpGolomb.MaxAbs)
+        fail(s"SIAR deviation $delta after sample ${i - 1} outside ±${ExpGolomb.MaxAbs}")
+      i += 1
+    }
+  }
+
   final case class Result(
       ct: CompressedTraj,
       assignment: RefSelect.Assignment,
@@ -33,6 +58,7 @@ object Compressor {
     * partition-order independent under Spark.
     */
   def compress(meta: DatasetMeta, params: Params, traj: UTraj): Result = {
+    requireEncodable(meta, traj)
     val insts = traj.instances
     val n = traj.numSamples
     insts.foreach { in =>
@@ -58,9 +84,9 @@ object Compressor {
 
     // header: n, N, R
     szOv += bitsOf {
-      w.writeBits(n.toLong, 16)
-      w.writeBits(insts.length.toLong, 16)
-      w.writeBits(assignment.refs.length.toLong, 16)
+      w.writeBits(n.toLong, HeaderBits)
+      w.writeBits(insts.length.toLong, HeaderBits)
+      w.writeBits(assignment.refs.length.toLong, HeaderBits)
     }
 
     // T̂(Tuʲ): SIAR + improved Exp-Golomb

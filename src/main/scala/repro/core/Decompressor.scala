@@ -5,11 +5,13 @@ import repro.util.{BitReader, Bits}
 
 /** Full and partial decompression of [[CompressedTraj]] blobs (§5.1).
   *
-  * Partial decompression is the query processor's workhorse: times can be
-  * decoded from an arbitrary Δ offset (provided by the StIU temporal index),
-  * reference components are fixed-width and random-accessible, and
-  * non-reference sample counts (the original array γ) are derived from the
-  * factor lists with Eq. 4–6 instead of materializing T′.
+  * Times can be decoded from an arbitrary Δ offset (the StIU temporal
+  * index's t.pos), and reference components are fixed-width and
+  * random-accessible (ω and γ of a reference give the D offset the StIU
+  * reference tuples store). A non-reference is always decoded whole, from
+  * its reference and its factor lists; the Eq. 4–6 partial decode of a
+  * non-reference's γ is not implemented, because no query path starts
+  * mid-way through a non-reference.
   */
 object Decompressor {
 
@@ -31,9 +33,9 @@ object Decompressor {
     val pddpD = meta.pddpD
     val pddpP = meta.pddpP
     val r = new BitReader(ct.bits)
-    val n = r.readBits(16).toInt
-    val numInsts = r.readBits(16).toInt
-    val numRefs = r.readBits(16).toInt
+    val n = r.readBits(Compressor.HeaderBits).toInt
+    val numInsts = r.readBits(Compressor.HeaderBits).toInt
+    val numRefs = r.readBits(Compressor.HeaderBits).toInt
     require(n == ct.n && numRefs <= numInsts, s"header n=$n, N=$numInsts, R=$numRefs")
 
     val tOff = r.pos
@@ -228,66 +230,6 @@ object Decompressor {
     require(g >= 0 && g < eLen)
     if (eLen == 1) 1
     else if (g == eLen - 1) omega(storedRefTf.length) + 2
-    else 1 + omega(g) // leading implicit 1 + stored ones in [0, g) ... see below
-  }
-
-  /** γ for a non-reference at original position `g`, via partial
-    * decompression of Com_T′ (Eq. 4–6): only the factor containing `g` is
-    * inspected, with ω(Ref) supplying per-span popcounts.
-    *
-    * @param eLenNonRef |E(nonref)| (known from Com_E), defining the original
-    *                   T′ length and the implicit first/last 1 bits
-    */
-  def gammaNonRef(
-      com: RefFactors.TfCom,
-      storedRefTf: Array[Boolean],
-      omega: Array[Int],
-      eLenNonRef: Int,
-      g: Int,
-  ): Int = {
-    require(g >= 0 && g < eLenNonRef)
-    if (g == 0) return 1
-    val storedLen = math.max(0, eLenNonRef - 2)
-    if (g == eLenNonRef - 1)
-      return 2 + onesUpToStored(com, storedRefTf, omega, storedLen - 1, all = true)
-    1 + onesUpToStored(com, storedRefTf, omega, g - 1, all = false)
-  }
-
-  /** Number of 1s in the stored (reconstructed) non-reference T′ over
-    * positions [0, s] — without materializing it. With `all = true` and
-    * `s = len−1` returns the total popcount (`s = −1` gives 0).
-    */
-  private def onesUpToStored(
-      com: RefFactors.TfCom,
-      storedRefTf: Array[Boolean],
-      omega: Array[Int],
-      s: Int,
-      all: Boolean,
-  ): Int = {
-    if (s < 0) return 0
-    // Empty factor list = identical to reference.
-    if (com.factors.isEmpty) return omega(math.min(s + 1, storedRefTf.length))
-    var pos = 0
-    var ones = 0
-    val h = com.factors.length
-    var fi = 0
-    while (fi < h) {
-      val f = com.factors(fi)
-      if (!all && s < pos + f.l) {
-        // target position s falls inside this factor's matched span
-        return ones + (omega(f.s + (s - pos) + 1) - omega(f.s))
-      }
-      ones += omega(f.s + f.l) - omega(f.s)
-      pos += f.l
-      val hasMismatch = (fi < h - 1) || f.m.isDefined
-      if (hasMismatch) {
-        val bit = f.m.getOrElse(!storedRefTf(f.s + f.l))
-        if (!all && s == pos) return ones + (if (bit) 1 else 0)
-        ones += (if (bit) 1 else 0)
-        pos += 1
-      }
-      fi += 1
-    }
-    ones
+    else 1 + omega(g) // leading implicit 1 + stored ones in [0, g)
   }
 }

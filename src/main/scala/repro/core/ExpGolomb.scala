@@ -18,12 +18,17 @@ import repro.util.{BitReader, BitWriter}
   */
 object ExpGolomb {
 
-  /** Group index of deviation Δ: smallest j with |Δ| ≤ 2^(j+1) − 2. */
+  /** Largest |Δ| the code holds: the top of group 30, 2^31 − 2. A group-31
+    * offset would need 31 bits and values beyond `Int` range.
+    */
+  val MaxAbs: Int = Int.MaxValue - 1
+
+  /** Group index of deviation Δ: smallest j with |Δ| ≤ 2^(j+1) − 2, that is
+    * ⌊log2(|Δ| + 1)⌋. Requires |Δ| ≤ [[MaxAbs]].
+    */
   def groupOf(delta: Int): Int = {
-    val m = math.abs(delta)
-    var j = 0
-    while ((1 << (j + 1)) - 2 < m) j += 1
-    j
+    require(delta >= -MaxAbs && delta <= MaxAbs, s"Exp-Golomb deviation $delta outside ±$MaxAbs")
+    31 - Integer.numberOfLeadingZeros(math.abs(delta) + 1)
   }
 
   def encode(delta: Int, w: BitWriter): Unit = {
@@ -41,6 +46,7 @@ object ExpGolomb {
   def decode(r: BitReader): Int = {
     var j = 0
     while (r.readBit()) j += 1
+    require(j <= 30, s"Exp-Golomb group $j beyond the code's 30")
     if (j == 0) 0
     else {
       val neg = r.readBit()

@@ -20,15 +20,8 @@ final class QueryEngine(
     val store: Map[Long, CompressedTraj],
 ) {
 
-  final case class Stats(
-      var lemma1Prunes: Int = 0,
-      var lemma2Contained: Int = 0,
-      var lemma2Disjoint: Int = 0,
-      var lemma3EarlyAccepts: Int = 0,
-      var lemma4Prunes: Int = 0,
-      var exactChecks: Int = 0,
-      var instanceDecompressions: Int = 0,
-  )
+  import QueryEngine.Stats
+
   val stats: Stats = Stats()
 
   // ------------------------------------------------------------ helpers
@@ -258,4 +251,18 @@ final class QueryEngine(
       !Grid.entry(x0, y0, x1, y1, re).isNaN
     }
   }
+}
+
+object QueryEngine {
+
+  /** Counters of one engine, accumulated over all its queries. */
+  final case class Stats(
+      var lemma1Prunes: Int = 0,
+      var lemma2Contained: Int = 0,
+      var lemma2Disjoint: Int = 0,
+      var lemma3EarlyAccepts: Int = 0,
+      var lemma4Prunes: Int = 0,
+      var exactChecks: Int = 0,
+      var instanceDecompressions: Int = 0,
+  )
 }

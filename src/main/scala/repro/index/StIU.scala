@@ -14,12 +14,16 @@ import scala.collection.mutable
   * slot, its ordinal, and the bit offset of the next timestamp's Δ code in
   * T̂, where partial decoding can resume.
   *
-  * Spatial part: for each grid cell a trajectory instance traverses, a
-  * tuple that lets the query processor resume decoding at the cell
-  * boundary: references carry (fv.id, fv.no, d.pos, p_total, p_max)
-  * (fv.id = −1 encodes the paper's ∞ case: the reference itself misses the
-  * cell but a non-reference of its set passes it); non-references carry
-  * (rv.id, rv.no, ma.pos) pointing into their Com_E factor stream.
+  * Spatial part: for each grid cell a reference group (a reference and the
+  * non-references encoded against it) traverses, one reference tuple
+  * (fv.id, fv.no, d.pos, p_total, p_max). fv.id = −1 encodes the paper's ∞
+  * case: the reference itself misses the cell but a non-reference of its
+  * group passes it.
+  *
+  * Deviation from §5.2: non-references get no (rv.id, rv.no, ma.pos)
+  * tuples of their own. The query processor decodes whole instances and
+  * reaches a non-reference only through its group's reference tuples
+  * (p_total, p_max and the ∞ tuples), so such tuples would have no reader.
   */
 object StIU {
 
@@ -30,6 +34,11 @@ object StIU {
       fvId: Int, fvNo: Int, dPos: Int,
       pTotal: Double, pMax: Double)
 
+  /** The §5.2 non-reference tuple. Nothing builds it: [[buildFor]]'s third
+    * slot is always empty (see the deviation above). The class and that
+    * slot stay only because the benchmark under `utcqbench/` compiles
+    * against them; they go when the benchmark stops naming them.
+    */
   final case class NonRefTuple(
       trajId: Long, cell: Int, nonRefSlot: Int,
       rvId: Int, rvNo: Int, maPos: Int)
@@ -40,19 +49,17 @@ object StIU {
       temporal: Map[Long, IndexedSeq[TemporalEntry]],         // per trajectory, slot-ordered
       bySlot: Map[Int, IndexedSeq[Long]],                     // slot -> trajIds
       refTuples: Map[(Long, Int), IndexedSeq[RefTuple]],      // (trajId, cell) -> tuples
-      nonRefTuples: Map[(Long, Int), IndexedSeq[NonRefTuple]],
   ) {
     /** Index size in bits under fixed-width fields (for the Fig. 9 index
       * size metric): temporal = id 32 + slot 16 + t.start 17 + t.no 12 +
       * t.pos 32; ref tuple = id 32 + cell 16 + slot 8 + fv.id 32 + fv.no 16
-      * + d.pos 32 + 2 probabilities à 16; non-ref tuple = id 32 + cell 16 +
-      * slot 8 + rv.id 32 + rv.no 16 + ma.pos 32.
+      * + d.pos 32 + 2 probabilities à 16. There are no non-reference tuples
+      * to count.
       */
     def sizeBits: Long = {
       val t = temporal.valuesIterator.map(_.size).sum.toLong * (32 + 16 + 17 + 12 + 32)
       val r = refTuples.valuesIterator.map(_.size).sum.toLong * (32 + 16 + 8 + 32 + 16 + 32 + 32)
-      val nr = nonRefTuples.valuesIterator.map(_.size).sum.toLong * (32 + 16 + 8 + 32 + 16 + 32)
-      t + r + nr
+      t + r
     }
   }
 
@@ -87,7 +94,10 @@ object StIU {
     out.result()
   }
 
-  /** Build the index entries of one compressed trajectory. */
+  /** Build the index entries of one compressed trajectory: its temporal
+    * entries, its reference tuples, and an always-empty third slot (see
+    * [[NonRefTuple]]).
+    */
   def buildFor(
       net: RoadNetwork,
       grid: Grid,
@@ -113,47 +123,17 @@ object StIU {
     }
 
     // ---- spatial tuples ------------------------------------------------
-    val pddpP = meta.pddpP
+    // Per reference group (a reference and the non-references encoded
+    // against it), one tuple for each cell a member visits. Probabilities
+    // are the quantized ones, the only ones the compressed side knows.
+    val refCells = ct.refs.map(rl => cellArrivals(net, grid, traj.instances(rl.origIdx)).toMap)
+    val nonRefCells = ct.nonRefs.map(nl => cellArrivals(net, grid, traj.instances(nl.origIdx)).map(_._1).toSet)
     val refTuples = mutable.ArrayBuffer[RefTuple]()
-    val nonRefTuples = mutable.ArrayBuffer[NonRefTuple]()
-
-    // Per-instance visited cells and entry metadata.
-    val refArr = ct.refs
-    val nonRefArr = ct.nonRefs
-
-    // group = reference slot; members: (instance, isRef, slotIdx)
-    val groupMembers: Map[Int, Seq[(Int, Boolean)]] = {
-      val m = mutable.Map[Int, mutable.ArrayBuffer[(Int, Boolean)]]()
-      refArr.indices.foreach(s => m.getOrElseUpdate(s, mutable.ArrayBuffer()) += ((s, true)))
-      nonRefArr.indices.foreach { k => m.getOrElseUpdate(nonRefArr(k).refSlot, mutable.ArrayBuffer()) += ((k, false)) }
-      m.view.mapValues(_.toSeq).toMap
-    }
-
-    val cellsOfRef = mutable.Map[Int, IndexedSeq[(Int, Int)]]()
-    val cellsOfNonRef = mutable.Map[Int, IndexedSeq[(Int, Int)]]()
-    refArr.indices.foreach { s =>
-      cellsOfRef(s) = cellArrivals(net, grid, traj.instances(refArr(s).origIdx))
-    }
-    nonRefArr.indices.foreach { k =>
-      cellsOfNonRef(k) = cellArrivals(net, grid, traj.instances(nonRefArr(k).origIdx))
-    }
-
-    groupMembers.foreach { case (refSlot, members) =>
-      val rl = refArr(refSlot)
+    ct.refs.indices.foreach { refSlot =>
+      val rl = ct.refs(refSlot)
       val refInst = traj.instances(rl.origIdx)
-      val refCellsArr = cellsOfRef(refSlot)
-      val refCellSet = refCellsArr.map(_._1).toSet
-
-      // Quantized probabilities (the compressed side only knows these).
-      def probOf(idx: Int, isRef: Boolean): Double =
-        if (isRef) refArr(idx).prob else nonRefArr(idx).prob
-
-      // Which cells does each member visit?
-      val memberCells: Seq[(Int, Boolean, Set[Int])] = members.map { case (idx, isRef) =>
-        val cs = (if (isRef) cellsOfRef(idx) else cellsOfNonRef(idx)).map(_._1).toSet
-        (idx, isRef, cs)
-      }
-      val allCells = memberCells.flatMap(_._3).toSet
+      val entering = refCells(refSlot) // cell -> entering path-edge ordinal
+      val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot)
 
       // ω and entry mapping of the reference for d.no = γ[fv.no].
       val storedRef = Compressor.storedTf(refInst.tflags)
@@ -161,86 +141,31 @@ object StIU {
       val entryOfEdge = entryIndexOfEdge(refInst)
       val refVerts = PathOps.pathVertices(net, refInst)
 
-      allCells.foreach { cell =>
-        val overlapping = memberCells.filter(_._3.contains(cell))
-        val pTotal = overlapping.map { case (idx, isRef, _) => probOf(idx, isRef) }.sum
-        val nonRefsHere = overlapping.filter(!_._2)
-        val pMax = if (nonRefsHere.isEmpty) 0.0 else nonRefsHere.map { case (idx, _, _) => nonRefArr(idx).prob }.max
-
-        if (refCellSet.contains(cell)) {
-          val enteringEdge = refCellsArr.find(_._1 == cell).get._2
-          if (enteringEdge < 0)
-            // Start cell: the paper stores (SV, 0, 0).
-            refTuples += RefTuple(traj.id, cell, refSlot, refInst.sv, 0, rl.dOff, pTotal, pMax)
-          else {
-            val fv = refVerts(enteringEdge) // from-vertex of the entering edge
-            val fvNo = entryOfEdge(enteringEdge)
+      (entering.keySet ++ nonRefs.flatMap(nonRefCells)).foreach { cell =>
+        val nonRefProbs = nonRefs.filter(nonRefCells(_).contains(cell)).map(ct.nonRefs(_).prob)
+        val pMax = if (nonRefProbs.isEmpty) 0.0 else nonRefProbs.max
+        val pTotal = (if (entering.contains(cell)) rl.prob else 0.0) + nonRefProbs.sum
+        refTuples += (entering.get(cell) match {
+          // The ∞ case: reference misses the cell, some non-reference hits it.
+          case None => RefTuple(traj.id, cell, refSlot, -1, -1, -1, pTotal, pMax)
+          // Start cell: the paper stores (SV, 0, 0).
+          case Some(-1) => RefTuple(traj.id, cell, refSlot, refInst.sv, 0, rl.dOff, pTotal, pMax)
+          case Some(edge) =>
+            val fv = refVerts(edge) // from-vertex of the entering edge
+            val fvNo = entryOfEdge(edge)
             val dNo = Decompressor.gammaRef(storedRef, refInst.edges.length, omega, fvNo)
             val dPos = rl.dOff + math.min(dNo, ct.n - 1) * meta.pddpD.bits
-            refTuples += RefTuple(traj.id, cell, refSlot, fv, fvNo, dPos, pTotal, pMax)
-          }
-        } else {
-          // The ∞ case: reference misses the cell, some non-reference hits it.
-          refTuples += RefTuple(traj.id, cell, refSlot, -1, -1, -1, pTotal, pMax)
-        }
-      }
-
-      // Non-reference tuples: one per Com_E factor, for the first cell that
-      // factor's span reaches (the paper's crossing rule).
-      nonRefsHere(members).foreach { k =>
-        val nl = nonRefArr(k)
-        val inst = traj.instances(nl.origIdx)
-        val verts = PathOps.pathVertices(net, inst)
-        val entryOf = entryIndexOfEdge(inst)
-        val spans = nl.comEFactorSpans
-        val usedFactors = mutable.Set[Int]()
-        cellsOfNonRef(k).foreach { case (cell, enteringEdge) =>
-          if (enteringEdge < 0) {
-            nonRefTuples += NonRefTuple(traj.id, cell, k, inst.sv, 0, 0)
-          } else {
-            val entryIdx = entryOf(enteringEdge)
-            // factor containing this entry
-            val h =
-              if (spans.isEmpty) 0
-              else {
-                var lo = 0
-                while (lo < spans.length - 1 && spans(lo + 1) <= entryIdx) lo += 1
-                lo
-              }
-            if (!usedFactors.contains(h)) {
-              usedFactors += h
-              val rvEntry = if (spans.isEmpty) 0 else spans(h)
-              // from-vertex of the edge owning the factor's first entry
-              val owning = owningEdgeOrdinal(inst, rvEntry)
-              val rv = verts(owning)
-              val maPos = if (nl.comEFactorOffs.isEmpty) nl.comEOff else nl.comEFactorOffs(h)
-              nonRefTuples += NonRefTuple(traj.id, cell, k, rv, rvEntry, maPos)
-            }
-          }
-        }
+            RefTuple(traj.id, cell, refSlot, fv, fvNo, dPos, pTotal, pMax)
+        })
       }
     }
 
-    (temporal.toVector, refTuples.toVector, nonRefTuples.toVector)
+    (temporal.toVector, refTuples.toVector, Vector.empty)
   }
 
-  private def nonRefsHere(members: Seq[(Int, Boolean)]): Seq[Int] =
-    members.collect { case (idx, false) => idx }
-
-  /** Ordinal of the path edge owning E entry `entryIdx` (0 entries belong
-    * to the preceding edge).
+  /** Assemble the full index from per-trajectory pieces ([[buildFor]]'s
+    * triples; the empty third slot is ignored).
     */
-  def owningEdgeOrdinal(inst: Instance, entryIdx: Int): Int = {
-    var cnt = 0
-    var i = 0
-    while (i <= entryIdx) {
-      if (inst.edges(i) != 0) cnt += 1
-      i += 1
-    }
-    math.max(0, cnt - 1)
-  }
-
-  /** Assemble the full index from per-trajectory pieces. */
   def assemble(
       grid: Grid,
       slotSeconds: Int,
@@ -248,14 +173,12 @@ object StIU {
   ): Index = {
     val temporal = parts.flatMap(_._1)
     val refT = parts.flatMap(_._2)
-    val nonRefT = parts.flatMap(_._3)
     Index(
       grid,
       slotSeconds,
       temporal.groupBy(_.trajId).view.mapValues(_.sortBy(_.slot).toVector).toMap,
       temporal.groupBy(_.slot).view.mapValues(_.map(_.trajId).distinct.toVector).toMap,
       refT.groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
-      nonRefT.groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
     )
   }
 }

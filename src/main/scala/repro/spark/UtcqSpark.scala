@@ -8,19 +8,23 @@ import repro.network.{RoadNetwork, RoadNetworkGen}
 import repro.traj.{UTraj, UncertainTrajGen}
 
 /** Distributed UTCQ: generation, compression, StIU materialization, and
-  * query filtering as a Dataset/DataFrame job.
+  * queries as Dataset jobs.
   *
   * Layering (per DESIGN.md): the paper's contribution is a compression
   * framework plus an index, not a Catalyst rewrite, so the natural Spark
   * extension point is the Dataset layer — per-trajectory kernels mapped
-  * over partitioned data, with the StIU index materialized both inline
-  * (per compressed row, for partition-local query evaluation) and as
-  * exploded DataFrames (for Catalyst-filtered candidate selection).
+  * over partitioned data, with each row's StIU entries inline. Queries
+  * select rows with typed Scala filters over those entries and evaluate
+  * each selected row partition-locally with the local [[QueryEngine]].
+  * [[indexFrames]] exports the entries as DataFrames for storage and ad
+  * hoc inspection; no query reads them.
   */
 object UtcqSpark {
 
   /** A compressed trajectory (its blob and the widths that wrote it) with
-    * its StIU index entries inline.
+    * its StIU index entries inline. `nonRefTuples` is always empty (see
+    * [[StIU.NonRefTuple]]); the field stays only because the benchmark under
+    * `utcqbench/` builds rows with it.
     */
   final case class CompressedRow(
       ct: CompressedTraj,
@@ -72,15 +76,10 @@ object UtcqSpark {
     }
   }
 
-  /** The StIU index as exploded DataFrames for Catalyst-side filtering:
-    * (temporal, refTuples, nonRefTuples).
-    */
-  def indexFrames(spark: SparkSession, rows: Dataset[CompressedRow]): (DataFrame, DataFrame, DataFrame) = {
+  /** The StIU index as exploded DataFrames: (temporal, refTuples). */
+  def indexFrames(spark: SparkSession, rows: Dataset[CompressedRow]): (DataFrame, DataFrame) = {
     import spark.implicits._
-    val temporal = rows.flatMap(_.temporal).toDF()
-    val refT = rows.flatMap(_.refTuples).toDF()
-    val nonRefT = rows.flatMap(_.nonRefTuples).toDF()
-    (temporal, refT, nonRefT)
+    (rows.flatMap(_.temporal).toDF(), rows.flatMap(_.refTuples).toDF())
   }
 
   /** Total compressed sizes (per component) of a dataset. */
@@ -91,14 +90,14 @@ object UtcqSpark {
 
   private def engineFor(
       net: RoadNetwork, meta: DatasetMeta, grid: Grid, slotSeconds: Int, row: CompressedRow): QueryEngine = {
-    val idx = StIU.assemble(grid, slotSeconds,
-      Seq((row.temporal.toVector, row.refTuples.toVector, row.nonRefTuples.toVector)))
+    val idx = StIU.assemble(grid, slotSeconds, Seq((row.temporal.toVector, row.refTuples.toVector, Vector.empty)))
     new QueryEngine(net, meta, idx, Map(row.ct.id -> row.ct))
   }
 
-  /** Distributed probabilistic range query: index-filter candidates with
-    * Catalyst predicates over the inline StIU entries, then evaluate each
-    * surviving trajectory partition-locally with the lemma-based engine.
+  /** Distributed probabilistic range query: keep the rows whose inline
+    * StIU entries touch the query's slot and cells (a typed filter over
+    * every row), then evaluate each kept trajectory partition-locally with
+    * the lemma-based engine.
     */
   def rangeQuery(
       net: RoadNetwork,

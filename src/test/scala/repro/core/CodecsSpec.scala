@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => Check}
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
 import repro.util.{BitReader, BitWriter}
 import scala.util.Random
@@ -68,7 +70,47 @@ class ExpGolombSpec extends SparkSpec {
       assert(r.remaining == 0)
     }
   }
+
+  test("Exp-Golomb round-trips its full domain, the bounds included (ScalaCheck)") {
+    val max = ExpGolomb.MaxAbs
+    // Both ends of every group j: ±(2^j − 1) and ±(2^(j+1) − 2).
+    val groupEnds = for {
+      j <- Gen.choose(0, 30)
+      top <- Gen.oneOf(false, true)
+      neg <- Gen.oneOf(false, true)
+    } yield {
+      val m = if (top) (1 << (j + 1)) - 2 else (1 << j) - 1
+      if (neg) -m else m
+    }
+    val delta = Gen.frequency(3 -> Gen.chooseNum(-max, max), 1 -> Gen.oneOf(-max, max), 2 -> groupEnds)
+    val prop = Prop.forAll(Gen.listOf(delta)) { ds =>
+      val w = new BitWriter
+      ds.foreach(ExpGolomb.encode(_, w))
+      val r = new BitReader(w.toBitVec)
+      ds.forall(ExpGolomb.decode(r) == _) && r.remaining == 0 &&
+        w.length == ds.map(ExpGolomb.bitLength).sum
+    }
+    val res = Check.check(Check.Parameters.default.withMinSuccessfulTests(2000).withInitialSeed(Seed(61L)), prop)
+    assert(res.passed, res)
+  }
+
+  test("Exp-Golomb rejects deviations beyond ±(2^31 − 2) instead of hanging or mis-encoding") {
+    assert(ExpGolomb.MaxAbs.toLong == (1L << 31) - 2)
+    Seq(ExpGolomb.MaxAbs, -ExpGolomb.MaxAbs).foreach(d => assert(roundTrip(d) == d))
+    Seq(Int.MaxValue, -Int.MaxValue, Int.MinValue).foreach { d =>
+      val e = intercept[IllegalArgumentException](ExpGolomb.encode(d, new BitWriter))
+      assert(e.getMessage.contains(d.toString))
+    }
+  }
+
+  test("Exp-Golomb decode rejects a group prefix beyond 30") {
+    val w = new BitWriter
+    (1 to 31).foreach(_ => w.writeBit(true))
+    w.writeBits(0L, 40)
+    intercept[IllegalArgumentException](ExpGolomb.decode(new BitReader(w.toBitVec)))
+  }
 }
+
 
 class PddpSpec extends SparkSpec {
 

@@ -1,14 +1,11 @@
 package repro.core
 
 import repro.SparkSpec
-import scala.util.Random
 
-/** Tests of the flag array ω and original array γ (§5.1, Eq. 4–6) against
-  * naive full decompression.
+/** Tests of a reference's flag array ω and original array γ (§5.1)
+  * against naive counting.
   */
 class FlagArraysSpec extends SparkSpec {
-
-  private val rnd = new Random(21)
 
   private def naiveGamma(fullTf: Array[Boolean], g: Int): Int =
     (0 to g).count(fullTf(_))
@@ -39,65 +36,5 @@ class FlagArraysSpec extends SparkSpec {
     val om = Decompressor.flagArray(stored)
     assert(Decompressor.gammaRef(stored, 2, om, 0) == 1)
     assert(Decompressor.gammaRef(stored, 2, om, 1) == 2)
-  }
-
-  test("gammaNonRef via Eq. 4-6 equals naive decompression on the fixture") {
-    import PaperFixture._
-    val refStored = Compressor.storedTf(tu11.tflags)
-    val omega = Decompressor.flagArray(refStored)
-    Seq(tu12, tu13).foreach { nr =>
-      val com = RefFactors.factorizeTf(refStored, Compressor.storedTf(nr.tflags))
-      nr.tflags.indices.foreach { g =>
-        val got = Decompressor.gammaNonRef(com, refStored, omega, nr.edges.length, g)
-        assert(got == naiveGamma(nr.tflags, g), s"g=$g")
-      }
-    }
-  }
-
-  test("gammaNonRef equals naive decompression on random instances") {
-    (1 to 150).foreach { _ =>
-      val eLenRef = 3 + rnd.nextInt(25)
-      val refFull = fullTf(eLenRef)
-      val eLenNr = 3 + rnd.nextInt(25)
-      val nrFull = fullTf(eLenNr)
-      val refStored = Compressor.storedTf(refFull)
-      val omega = Decompressor.flagArray(refStored)
-      val com = RefFactors.factorizeTf(refStored, Compressor.storedTf(nrFull))
-      nrFull.indices.foreach { g =>
-        val got = Decompressor.gammaNonRef(com, refStored, omega, eLenNr, g)
-        assert(got == naiveGamma(nrFull, g), s"g=$g ref=${refStored.mkString(",")}")
-      }
-    }
-  }
-
-  test("gammaNonRef with an identical-to-reference Com_T'") {
-    val full = fullTf(10)
-    val stored = Compressor.storedTf(full)
-    val omega = Decompressor.flagArray(stored)
-    val com = RefFactors.factorizeTf(stored, stored.clone)
-    assert(com.factors.isEmpty)
-    full.indices.foreach { g =>
-      assert(Decompressor.gammaNonRef(com, stored, omega, 10, g) == naiveGamma(full, g))
-    }
-  }
-
-  test("gammaNonRef total (last position) equals the sample count") {
-    (1 to 50).foreach { _ =>
-      val refFull = fullTf(4 + rnd.nextInt(20))
-      val nrFull = fullTf(4 + rnd.nextInt(20))
-      val refStored = Compressor.storedTf(refFull)
-      val omega = Decompressor.flagArray(refStored)
-      val com = RefFactors.factorizeTf(refStored, Compressor.storedTf(nrFull))
-      val total = Decompressor.gammaNonRef(com, refStored, omega, nrFull.length, nrFull.length - 1)
-      assert(total == nrFull.count(identity))
-    }
-  }
-
-  /** Random full-length T′ with the §4.1 invariant (first/last bits 1). */
-  private def fullTf(eLen: Int): Array[Boolean] = {
-    val a = Array.fill(eLen)(rnd.nextBoolean())
-    a(0) = true
-    a(eLen - 1) = true
-    a
   }
 }

@@ -110,6 +110,32 @@ class QueriesSpec extends SparkSpec {
     assert(got == GroundTruth.when(hzNet, Decompressor.decompress(hzMeta, store(51)), 2110, 2053, 0.2373, 0.3))
   }
 
+  test("when reaches non-references through an ∞ tuple when only they pass the point") {
+    // A mapped location of a non-reference, in a cell where every tuple of
+    // the trajectory is ∞ (fv.id = −1) and no reference passes the point.
+    val cases = for {
+      t <- trajs.iterator
+      ct = compressed(t.id)
+      dec = decompressed(t.id)
+      nl <- ct.nonRefs.iterator
+      l <- PathOps.mappedLocations(net, dec.instances(nl.origIdx)).iterator
+      (x, y) = GroundTruth.locXY(net, l)
+      tuples = engine.index.refTuples.getOrElse((t.id, grid.cellOf(x, y)), Vector.empty)
+      if tuples.nonEmpty && tuples.forall(_.fvId == -1)
+      if ct.refs.forall(rl => GroundTruth.passTimes(net, dec.times, dec.instances(rl.origIdx),
+        l.edge.from, l.edge.to, l.rd).isEmpty)
+    } yield (t.id, l, nl.prob)
+    val found = cases.take(5).toVector
+    assert(found.nonEmpty, "no point passed by non-references only in an ∞ cell")
+    found.foreach { case (id, l, p) =>
+      Seq(0.0, p).foreach { a =>
+        val got = engine.when(id, l.edge.from, l.edge.to, l.rd, a)
+        assert(got.nonEmpty, s"traj $id loc ${l.edge.from}->${l.edge.to}@${l.rd} alpha $a")
+        assert(got == GroundTruth.when(net, decompressed(id), l.edge.from, l.edge.to, l.rd, a))
+      }
+    }
+  }
+
   test("when on an edge no instance passes is empty") {
     val t = trajs.head
     // find an edge far from the trajectory

@@ -176,17 +176,8 @@ class StIUSpec extends SparkSpec {
     }
   }
 
-  test("non-reference tuples point at decodable Com_E factor offsets") {
-    parts.take(10).foreach { case (t, ct, (_, _, nonRefTuples)) =>
-      nonRefTuples.foreach { nt =>
-        val nl = ct.nonRefs(nt.nonRefSlot)
-        val inst = t.instances(nl.origIdx)
-        // Start-cell tuples are stored as (SV, 0, 0) per §5.2.
-        if (nt.rvNo == 0 && nt.maPos == 0) assert(nt.rvId == inst.sv)
-        else assert(nt.maPos >= nl.comEOff)
-        assert(PathOps.pathVertices(net, inst).contains(nt.rvId))
-      }
-    }
+  test("non-references get no tuples of their own: the third slot is empty") {
+    parts.foreach { case (_, _, (_, _, nonRefTuples)) => assert(nonRefTuples.isEmpty) }
   }
 
   test("index size grows with finer grids") {

@@ -70,11 +70,10 @@ class SparkPipelineSpec extends SparkSpec {
   }
 
   test("index frames expose the StIU entries relationally") {
-    val (te, rt, nt) = UtcqSpark.indexFrames(spark, rows)
+    val (te, rt) = UtcqSpark.indexFrames(spark, rows)
     assert(te.columns.toSet == Set("trajId", "slot", "tStart", "tNo", "tPos"))
     assert(rt.columns.toSet ==
       Set("trajId", "cell", "refSlot", "fvId", "fvNo", "dPos", "pTotal", "pMax"))
-    assert(nt.columns.toSet == Set("trajId", "cell", "nonRefSlot", "rvId", "rvNo", "maPos"))
     assert(te.count() > 0 && rt.count() > 0)
     // Catalyst-side filtering: temporal candidates of one slot.
     val anySlot = te.select("slot").head().getInt(0)
