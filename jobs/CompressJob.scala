@@ -7,7 +7,7 @@ import repro.spark.UtcqSpark
 
 /** spark-submit entrypoint: generate an NCUT dataset, compress it with
   * UTCQ, report per-component compression ratios, and optionally persist
-  * the compressed rows + index frames as parquet.
+  * the compressed rows, each with its StIU entries inline, as parquet.
   *
   * Usage: CompressJob [profile=DK|CD|HZ] [sf=0.05] [outDir]
   */
@@ -39,12 +39,7 @@ object CompressJob {
       f"D=${original.d.toDouble / compressed.d}%.3f T'=${original.tf.toDouble / compressed.tf}%.3f " +
       f"p=${original.p.toDouble / compressed.p}%.3f time=$secs%.1fs")
 
-    outDir.foreach { dir =>
-      rows.write.mode("overwrite").parquet(s"$dir/compressed")
-      val (te, rt) = UtcqSpark.indexFrames(spark, rows)
-      te.write.mode("overwrite").parquet(s"$dir/index_temporal")
-      rt.write.mode("overwrite").parquet(s"$dir/index_ref")
-    }
+    outDir.foreach(dir => rows.write.mode("overwrite").parquet(s"$dir/compressed"))
     spark.stop()
   }
 }

@@ -86,9 +86,4 @@ object ExpGolomb {
     while (i < zeros) { v = (v << 1) | (if (r.readBit()) 1L else 0L); i += 1 }
     (v - 1).toInt
   }
-
-  def bitLengthUnsigned(x: Int): Int = {
-    val len = 64 - java.lang.Long.numberOfLeadingZeros(x + 1L)
-    2 * len - 1
-  }
 }

@@ -26,9 +26,7 @@ object RefSelect {
       refs: IndexedSeq[Int],
       rrs: Map[Int, IndexedSeq[Int]],
       refOf: Map[Int, Int],
-  ) {
-    def isReference(i: Int): Boolean = refOf.get(i).isEmpty
-  }
+  )
 
   def select(sm: Array[Array[Double]]): Assignment = {
     val n = sm.length

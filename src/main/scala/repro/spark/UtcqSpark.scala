@@ -1,23 +1,23 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 import repro.core.GroundTruth.Rect
 import repro.index.{Grid, StIU}
 import repro.network.{RoadNetwork, RoadNetworkGen}
 import repro.traj.{UTraj, UncertainTrajGen}
+import scala.reflect.ClassTag
 
 /** Distributed UTCQ: generation, compression, StIU materialization, and
-  * queries as Dataset jobs.
+  * queries as Spark jobs.
   *
   * Layering (per DESIGN.md): the paper's contribution is a compression
   * framework plus an index, not a Catalyst rewrite, so the natural Spark
   * extension point is the Dataset layer — per-trajectory kernels mapped
-  * over partitioned data, with each row's StIU entries inline. Queries
-  * select rows with typed Scala filters over those entries and evaluate
-  * each selected row partition-locally with the local [[QueryEngine]].
-  * [[indexFrames]] exports the entries as DataFrames for storage and ad
-  * hoc inspection; no query reads them.
+  * over partitioned data, with each row's StIU entries inline. A query runs
+  * the local [[QueryEngine]] once per partition, over an index assembled
+  * from that partition's rows, and unions the answers: local and
+  * distributed queries share one query path.
   */
 object UtcqSpark {
 
@@ -76,28 +76,42 @@ object UtcqSpark {
     }
   }
 
-  /** The StIU index as exploded DataFrames: (temporal, refTuples). */
-  def indexFrames(spark: SparkSession, rows: Dataset[CompressedRow]): (DataFrame, DataFrame) = {
-    import spark.implicits._
-    (rows.flatMap(_.temporal).toDF(), rows.flatMap(_.refTuples).toDF())
-  }
-
   /** Total compressed sizes (per component) of a dataset. */
   def totalSizes(rows: Dataset[CompressedRow]): Sizes = {
     import rows.sparkSession.implicits._
     rows.map(_.ct.sizes).reduce(_ + _)
   }
 
-  private def engineFor(
-      net: RoadNetwork, meta: DatasetMeta, grid: Grid, slotSeconds: Int, row: CompressedRow): QueryEngine = {
-    val idx = StIU.assemble(grid, slotSeconds, Seq((row.temporal.toVector, row.refTuples.toVector, Vector.empty)))
-    new QueryEngine(net, meta, idx, Map(row.ct.id -> row.ct))
+  /** Run `ask` on one local [[QueryEngine]] per partition of `rows` and
+    * collect the answers. Each engine indexes the partition's rows that
+    * `keep` selects; a partition that keeps no row answers nothing.
+    * `rows.rdd` is planned once per Dataset, so repeated queries on a cached
+    * Dataset skip Catalyst planning.
+    */
+  private def onEngines[A: ClassTag](
+      net: RoadNetwork,
+      meta: DatasetMeta,
+      params: Params,
+      rows: Dataset[CompressedRow],
+      keep: CompressedRow => Boolean,
+  )(ask: QueryEngine => Iterable[A]): Array[A] = {
+    val bNet = rows.sparkSession.sparkContext.broadcast(net)
+    val grid = Grid.over(net, params.gridCells)
+    try {
+      rows.rdd.mapPartitions { it =>
+        val kept = it.filter(keep).toVector
+        if (kept.isEmpty) Iterator.empty
+        else {
+          val idx = StIU.assemble(grid, params.slotSeconds,
+            kept.map(r => (r.temporal.toVector, r.refTuples.toVector, Vector.empty)))
+          ask(new QueryEngine(bNet.value, meta, idx, kept.map(r => r.ct.id -> r.ct).toMap)).iterator
+        }
+      }.collect()
+    } finally bNet.destroy()
   }
 
-  /** Distributed probabilistic range query: keep the rows whose inline
-    * StIU entries touch the query's slot and cells (a typed filter over
-    * every row), then evaluate each kept trajectory partition-locally with
-    * the lemma-based engine.
+  /** Distributed probabilistic range query: every partition's engine
+    * answers over its rows with a temporal entry in the query's slot.
     */
   def rangeQuery(
       net: RoadNetwork,
@@ -108,22 +122,8 @@ object UtcqSpark {
       tq: Int,
       alpha: Double,
   ): Array[Long] = {
-    import rows.sparkSession.implicits._
-    val bNet = rows.sparkSession.sparkContext.broadcast(net)
-    val grid = Grid.over(net, params.gridCells)
     val slot = tq / params.slotSeconds
-    val cells = grid.cellsOf(re).toSet
-    rows
-      .filter { r =>
-        r.temporal.exists(_.slot == slot) && r.refTuples.exists(t => cells.contains(t.cell))
-      }
-      .mapPartitions { it =>
-        it.flatMap { row =>
-          engineFor(bNet.value, meta, grid, params.slotSeconds, row).range(re, tq, alpha)
-        }
-      }
-      .collect()
-      .distinct
+    onEngines(net, meta, params, rows, _.temporal.exists(_.slot == slot))(_.range(re, tq, alpha)).distinct
   }
 
   /** Distributed probabilistic where query for one trajectory. */
@@ -135,20 +135,8 @@ object UtcqSpark {
       trajId: Long,
       t: Int,
       alpha: Double,
-  ): Set[(Int, Int, Double)] = {
-    import rows.sparkSession.implicits._
-    val bNet = rows.sparkSession.sparkContext.broadcast(net)
-    val grid = Grid.over(net, params.gridCells)
-    rows
-      .filter(_.ct.id == trajId)
-      .mapPartitions { it =>
-        it.flatMap { row =>
-          engineFor(bNet.value, meta, grid, params.slotSeconds, row).where(trajId, t, alpha)
-        }
-      }
-      .collect()
-      .toSet
-  }
+  ): Set[(Int, Int, Double)] =
+    onEngines(net, meta, params, rows, _.ct.id == trajId)(_.where(trajId, t, alpha)).toSet
 
   /** Distributed probabilistic when query for one trajectory. */
   def whenQuery(
@@ -161,20 +149,8 @@ object UtcqSpark {
       ve: Int,
       rd: Double,
       alpha: Double,
-  ): Set[Double] = {
-    import rows.sparkSession.implicits._
-    val bNet = rows.sparkSession.sparkContext.broadcast(net)
-    val grid = Grid.over(net, params.gridCells)
-    rows
-      .filter(_.ct.id == trajId)
-      .mapPartitions { it =>
-        it.flatMap { row =>
-          engineFor(bNet.value, meta, grid, params.slotSeconds, row).when(trajId, vs, ve, rd, alpha)
-        }
-      }
-      .collect()
-      .toSet
-  }
+  ): Set[Double] =
+    onEngines(net, meta, params, rows, _.ct.id == trajId)(_.when(trajId, vs, ve, rd, alpha)).toSet
 
   /** Convenience bundle for benches and jobs: build network + meta, then
     * generate/compress end-to-end.

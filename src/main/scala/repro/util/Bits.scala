@@ -36,12 +36,6 @@ final class BitWriter {
     }
   }
 
-  /** Append every bit of another vector. */
-  def writeVec(v: BitVec): Unit = {
-    var i = 0
-    while (i < v.length) { writeBit(v(i)); i += 1 }
-  }
-
   def toBitVec: BitVec = new BitVec(words.toArray, nbits)
 }
 
@@ -139,7 +133,4 @@ final class BitReader(val vec: BitVec, start: Int = 0) {
 object Bits {
   /** Minimal width to encode values 0..n-1 (0 for n <= 1). */
   def widthFor(n: Long): Int = if (n <= 1) 0 else 64 - java.lang.Long.numberOfLeadingZeros(n - 1)
-
-  /** ceil(log2(x)) for x >= 1. */
-  def ceilLog2(x: Long): Int = if (x <= 1) 0 else 64 - java.lang.Long.numberOfLeadingZeros(x - 1)
 }

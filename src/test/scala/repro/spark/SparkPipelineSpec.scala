@@ -7,8 +7,8 @@ import repro.index.Grid
 import repro.network.RoadNetworkGen
 import repro.traj.{PathOps, UTraj, UncertainTrajGen}
 
-/** Distributed pipeline tests: generation, compression, index frames, and
-  * query filtering all run through Spark (Dataset encoders included).
+/** Distributed pipeline tests: generation, compression and queries all run
+  * through Spark (Dataset encoders included).
   */
 class SparkPipelineSpec extends SparkSpec {
 
@@ -69,18 +69,6 @@ class SparkPipelineSpec extends SparkSpec {
     }
   }
 
-  test("index frames expose the StIU entries relationally") {
-    val (te, rt) = UtcqSpark.indexFrames(spark, rows)
-    assert(te.columns.toSet == Set("trajId", "slot", "tStart", "tNo", "tPos"))
-    assert(rt.columns.toSet ==
-      Set("trajId", "cell", "refSlot", "fvId", "fvNo", "dPos", "pTotal", "pMax"))
-    assert(te.count() > 0 && rt.count() > 0)
-    // Catalyst-side filtering: temporal candidates of one slot.
-    val anySlot = te.select("slot").head().getInt(0)
-    val cands = te.filter(te("slot") === anySlot).select("trajId").distinct().count()
-    assert(cands >= 1)
-  }
-
   test("totalSizes aggregates per-component sizes") {
     val total = UtcqSpark.totalSizes(rows)
     val sum = rows.collect().map(_.ct.sizes).reduce(_ + _)
@@ -95,13 +83,26 @@ class SparkPipelineSpec extends SparkSpec {
     val engine = new QueryEngine(pipe.net, pipe.meta,
       repro.index.StIU.assemble(grid, params.slotSeconds, parts.toSeq), localStore)
 
-    val t = trajs.head
-    val tq = t.times(t.times.length / 2)
-    val v = t.instances.head.sv
-    val re = Rect(pipe.net.xs(v) - 2000, pipe.net.ys(v) - 2000, pipe.net.xs(v) + 2000, pipe.net.ys(v) + 2000)
-    val dist = UtcqSpark.rangeQuery(pipe.net, pipe.meta, params, rows, re, tq, 0.3).toSet
-    val local = engine.range(re, tq, 0.3)
-    assert(dist == local)
+    val (xs, ys) = (pipe.net.xs, pipe.net.ys)
+    def around(v: Int) = Rect(xs(v) - 2000, ys(v) - 2000, xs(v) + 2000, ys(v) + 2000)
+    val parted = rows.repartition(3).cache()
+    for (alpha <- Seq(0.0, 0.1, 0.3, 0.5, 1.0); t <- trajs.take(3)) {
+      val tq = t.times(t.times.length / 2)
+      val v = t.instances.head.sv
+      // A rectangle on the trajectory and one at the vertex farthest from it.
+      val far = xs.indices.maxBy(u => math.hypot(xs(u) - xs(v), ys(u) - ys(v)))
+      Seq(around(v), around(far)).foreach { re =>
+        val range = UtcqSpark.rangeQuery(pipe.net, pipe.meta, params, parted, re, tq, alpha)
+        assert(range.toSet == engine.range(re, tq, alpha), s"range $re traj ${t.id} alpha $alpha")
+      }
+      assert(UtcqSpark.whereQuery(pipe.net, pipe.meta, params, parted, t.id, tq, alpha) ==
+        engine.where(t.id, tq, alpha), s"where traj ${t.id} alpha $alpha")
+      val locs = PathOps.mappedLocations(pipe.net, t.instances.head)
+      val l = locs(locs.length / 2)
+      assert(UtcqSpark.whenQuery(pipe.net, pipe.meta, params, parted, t.id, l.edge.from, l.edge.to, l.rd, alpha) ==
+        engine.when(t.id, l.edge.from, l.edge.to, l.rd, alpha), s"when traj ${t.id} alpha $alpha")
+    }
+    parted.unpersist()
   }
 
   test("distributed where query equals ground truth over decompressed data") {
