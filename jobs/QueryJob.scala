@@ -38,8 +38,7 @@ object QueryJob {
 
     t0 = System.nanoTime()
     sample.foreach { t =>
-      val locs = repro.traj.PathOps.mappedLocations(pipe.net, t.instances.head)
-      val l = locs(locs.length / 2)
+      val l = repro.traj.PathOps.resolve(pipe.net, t.instances.head).mapped(t.numSamples / 2)
       UtcqSpark.whenQuery(pipe.net, pipe.meta, params, rows, t.id, l.edge.from, l.edge.to, l.rd, 0.2)
     }
     println(f"when: ${(System.nanoTime() - t0) / 1e6 / numQueries}%.1f ms/query")

@@ -2,9 +2,8 @@ package repro.baseline
 
 import repro.core.GroundTruth
 import repro.core.GroundTruth.Rect
-import repro.index.Grid
+import repro.index.{Grid, StIU}
 import repro.network.RoadNetwork
-import repro.traj.PathOps
 import scala.collection.mutable
 
 /** Query processing over TED-compressed data.
@@ -12,7 +11,8 @@ import scala.collection.mutable
   * TED's index [40] targets accurate trajectories: it has no probability
   * aggregates and no referential awareness, so each candidate instance must
   * be fully decompressed before it can be tested. We give the baseline the
-  * same grid/time partitioning as StIU for candidate filtering, but every
+  * same grid/time partitioning as StIU for candidate filtering (an
+  * instance is listed in every cell [[StIU.cellArrivals]] gives), but every
   * surviving candidate is decompressed in full — the behaviour the paper's
   * query-time comparison (Figs. 9–10) captures.
   */
@@ -43,14 +43,9 @@ final class TedQueryEngine(
     ds.trajs.foreach { t =>
       t.instances.zipWithIndex.foreach { case (ti, k) =>
         val inst = TedCompressor.decompressInstance(ds, ti)
-        val cells = mutable.Set[Int]()
-        val es = PathOps.pathEdges(net, inst)
-        cells += grid.cellOf(net.xs(inst.sv), net.ys(inst.sv))
-        es.foreach { e =>
-          cells += grid.cellOf((net.xs(e.from) + net.xs(e.to)) / 2, (net.ys(e.from) + net.ys(e.to)) / 2)
-          cells += grid.cellOf(net.xs(e.to), net.ys(e.to))
+        StIU.cellArrivals(net, grid, inst).foreach { case (c, _) =>
+          m.getOrElseUpdate((t.id, c), mutable.ArrayBuffer()) += k
         }
-        cells.foreach(c => m.getOrElseUpdate((t.id, c), mutable.ArrayBuffer()) += k)
       }
     }
     m.view.mapValues(_.toVector).toMap

@@ -11,8 +11,6 @@ final case class Params(
     slotMinutes: Int = 30,      // time partition duration
     seed: Long = 42L,
 ) {
-  def pddpD: Pddp = Pddp(etaD)
-  def pddpP: Pddp = Pddp(etaP)
   def slotSeconds: Int = slotMinutes * 60
 }
 
@@ -140,4 +138,10 @@ final case class CompressedTraj(
   def refs: Array[RefLayout] = layout.refs
   def nonRefs: Array[NonRefLayout] = layout.nonRefs
   def numInstances: Int = refs.length + nonRefs.length
+
+  /** Fails with an `IllegalArgumentException` naming the trajectory unless
+    * `m` is the [[DatasetMeta]] that wrote the blob.
+    */
+  def requireMeta(m: DatasetMeta): Unit =
+    if (m != meta) throw new IllegalArgumentException(s"trajectory $id: blob written with $meta, read with $m")
 }

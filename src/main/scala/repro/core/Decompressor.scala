@@ -12,6 +12,9 @@ import repro.util.{BitReader, Bits}
   * its reference and its factor lists; the Eq. 4–6 partial decode of a
   * non-reference's γ is not implemented, because no query path starts
   * mid-way through a non-reference.
+  *
+  * Every decoder reads its widths (symbol, vertex and distance-code widths,
+  * Ts) from the blob's own `ct.meta`, the one that wrote it.
   */
 object Decompressor {
 
@@ -86,7 +89,8 @@ object Decompressor {
   // -------------------------------------------------------------- times
 
   /** Decode the full time sequence. */
-  def times(meta: DatasetMeta, ct: CompressedTraj): Array[Int] = {
+  def times(ct: CompressedTraj): Array[Int] = {
+    val meta = ct.meta
     val r = new BitReader(ct.bits, ct.tOff)
     val t0 = r.readBits(meta.t0Bits).toInt
     val deltas = new Array[Int](ct.n - 1)
@@ -99,14 +103,14 @@ object Decompressor {
     * offset the temporal index stored (t.pos); `tStart` is the timestamp at
     * `fromIdx` (t.start). Cost is proportional to the decoded suffix only.
     */
-  def timesFrom(meta: DatasetMeta, ct: CompressedTraj, fromIdx: Int, tStart: Int): Array[Int] = {
+  def timesFrom(ct: CompressedTraj, fromIdx: Int, tStart: Int): Array[Int] = {
     if (fromIdx >= ct.n - 1) return Array(tStart)
     val r = new BitReader(ct.bits, ct.deltaOffs(fromIdx))
     val out = new Array[Int](ct.n - fromIdx)
     out(0) = tStart
     var i = 1
     while (i < out.length) {
-      out(i) = out(i - 1) + meta.ts + ExpGolomb.decode(r)
+      out(i) = out(i - 1) + ct.meta.ts + ExpGolomb.decode(r)
       i += 1
     }
     out
@@ -114,23 +118,24 @@ object Decompressor {
 
   // --------------------------------------------------------- references
 
-  def refSv(meta: DatasetMeta, ct: CompressedTraj, slot: Int): Int =
-    ct.bits.readBits(ct.refs(slot).svOff, meta.svBits).toInt
+  def refSv(ct: CompressedTraj, slot: Int): Int =
+    ct.bits.readBits(ct.refs(slot).svOff, ct.meta.svBits).toInt
 
-  def refEdges(meta: DatasetMeta, ct: CompressedTraj, slot: Int): Array[Int] = {
+  def refEdges(ct: CompressedTraj, slot: Int): Array[Int] = {
     val rl = ct.refs(slot)
+    val symBits = ct.meta.symBits
     val out = new Array[Int](rl.eLen)
     var i = 0
     while (i < rl.eLen) {
-      out(i) = ct.bits.readBits(rl.eOff + i * meta.symBits, meta.symBits).toInt
+      out(i) = ct.bits.readBits(rl.eOff + i * symBits, symBits).toInt
       i += 1
     }
     out
   }
 
   /** Random access to one E entry of a reference (fixed-width codes). */
-  def refEdgeEntry(meta: DatasetMeta, ct: CompressedTraj, slot: Int, entry: Int): Int =
-    ct.bits.readBits(ct.refs(slot).eOff + entry * meta.symBits, meta.symBits).toInt
+  def refEdgeEntry(ct: CompressedTraj, slot: Int, entry: Int): Int =
+    ct.bits.readBits(ct.refs(slot).eOff + entry * ct.meta.symBits, ct.meta.symBits).toInt
 
   /** Stored T′ of a reference (first/last bits omitted). */
   def refStoredTf(ct: CompressedTraj, slot: Int): Array[Boolean] = {
@@ -142,69 +147,71 @@ object Decompressor {
   def refTf(ct: CompressedTraj, slot: Int): Array[Boolean] =
     Compressor.restoreTf(refStoredTf(ct, slot), ct.refs(slot).eLen)
 
-  def refDists(meta: DatasetMeta, ct: CompressedTraj, slot: Int): Array[Double] = {
+  def refDists(ct: CompressedTraj, slot: Int): Array[Double] = {
     val rl = ct.refs(slot)
-    val pddpD = meta.pddpD
+    val pddpD = ct.meta.pddpD
     Array.tabulate(ct.n)(i => pddpD.dequantize(ct.bits.readBits(rl.dOff + i * pddpD.bits, pddpD.bits)))
   }
 
   /** Random access to one relative distance of a reference — this is what
     * the StIU d.pos field points at.
     */
-  def refDistAt(meta: DatasetMeta, ct: CompressedTraj, dPos: Int): Double = {
-    val pddpD = meta.pddpD
+  def refDistAt(ct: CompressedTraj, dPos: Int): Double = {
+    val pddpD = ct.meta.pddpD
     pddpD.dequantize(ct.bits.readBits(dPos, pddpD.bits))
   }
 
-  def refInstance(meta: DatasetMeta, ct: CompressedTraj, slot: Int): Instance = {
+  def refInstance(ct: CompressedTraj, slot: Int): Instance = {
     val rl = ct.refs(slot)
-    Instance(rl.prob, refSv(meta, ct, slot), refEdges(meta, ct, slot), refTf(ct, slot),
-      refDists(meta, ct, slot))
+    Instance(rl.prob, refSv(ct, slot), refEdges(ct, slot), refTf(ct, slot), refDists(ct, slot))
   }
 
   // ----------------------------------------------------- non-references
 
-  def nonRefEFactors(meta: DatasetMeta, ct: CompressedTraj, k: Int): IndexedSeq[RefFactors.EFactor] = {
+  def nonRefEFactors(ct: CompressedTraj, k: Int): IndexedSeq[RefFactors.EFactor] = {
     val nl = ct.nonRefs(k)
     val refLen = ct.refs(nl.refSlot).eLen
-    RefFactors.decodeE(RefFactors.ELayout(refLen, meta.symBits), new BitReader(ct.bits, nl.comEOff))
+    RefFactors.decodeE(RefFactors.ELayout(refLen, ct.meta.symBits), new BitReader(ct.bits, nl.comEOff))
   }
 
-  def nonRefTfCom(meta: DatasetMeta, ct: CompressedTraj, k: Int): RefFactors.TfCom = {
+  def nonRefTfCom(ct: CompressedTraj, k: Int): RefFactors.TfCom = {
     val nl = ct.nonRefs(k)
     val refLen = ct.refs(nl.refSlot).eLen
     RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), new BitReader(ct.bits, nl.comTfOff))
   }
 
-  def nonRefDFactors(meta: DatasetMeta, ct: CompressedTraj, k: Int): IndexedSeq[RefFactors.DFactor] = {
+  def nonRefDFactors(ct: CompressedTraj, k: Int): IndexedSeq[RefFactors.DFactor] = {
     val nl = ct.nonRefs(k)
-    val pddpD = meta.pddpD
-    RefFactors.decodeD(RefFactors.DLayout(ct.n, pddpD.bits), new BitReader(ct.bits, nl.comDOff))
+    RefFactors.decodeD(RefFactors.DLayout(ct.n, ct.meta.pddpD.bits), new BitReader(ct.bits, nl.comDOff))
   }
 
-  def nonRefInstance(meta: DatasetMeta, ct: CompressedTraj, k: Int): Instance = {
+  def nonRefInstance(ct: CompressedTraj, k: Int): Instance = {
     val nl = ct.nonRefs(k)
     val slot = nl.refSlot
-    val refE = refEdges(meta, ct, slot)
-    val edges = RefFactors.reconstructE(refE, nonRefEFactors(meta, ct, k))
+    val refE = refEdges(ct, slot)
+    val edges = RefFactors.reconstructE(refE, nonRefEFactors(ct, k))
     val storedRefTf = refStoredTf(ct, slot)
     val tf = Compressor.restoreTf(
-      RefFactors.reconstructTf(storedRefTf, nonRefTfCom(meta, ct, k)), edges.length)
-    val pddpD = meta.pddpD
+      RefFactors.reconstructTf(storedRefTf, nonRefTfCom(ct, k)), edges.length)
+    val pddpD = ct.meta.pddpD
     val rl = ct.refs(slot)
     val refCodes = Array.tabulate(ct.n)(i => ct.bits.readBits(rl.dOff + i * pddpD.bits, pddpD.bits))
-    val codes = RefFactors.reconstructD(refCodes, nonRefDFactors(meta, ct, k))
-    Instance(nl.prob, refSv(meta, ct, slot), edges, tf, codes.map(pddpD.dequantize))
+    val codes = RefFactors.reconstructD(refCodes, nonRefDFactors(ct, k))
+    Instance(nl.prob, refSv(ct, slot), edges, tf, codes.map(pddpD.dequantize))
   }
 
   /** Full decompression: the uncertain trajectory with instances back in
-    * their original order (probabilities and distances η-rounded).
+    * their original order (probabilities and distances η-rounded). `meta`
+    * must be the [[DatasetMeta]] the blob was written with (`ct.meta`);
+    * otherwise this fails with an `IllegalArgumentException` naming the
+    * trajectory.
     */
   def decompress(meta: DatasetMeta, ct: CompressedTraj): UTraj = {
+    ct.requireMeta(meta)
     val insts = new Array[Instance](ct.numInstances)
-    ct.refs.indices.foreach(s => insts(ct.refs(s).origIdx) = refInstance(meta, ct, s))
-    ct.nonRefs.indices.foreach(k => insts(ct.nonRefs(k).origIdx) = nonRefInstance(meta, ct, k))
-    UTraj(ct.id, times(meta, ct), meta.ts, insts)
+    ct.refs.indices.foreach(s => insts(ct.refs(s).origIdx) = refInstance(ct, s))
+    ct.nonRefs.indices.foreach(k => insts(ct.nonRefs(k).origIdx) = nonRefInstance(ct, k))
+    UTraj(ct.id, times(ct), meta.ts, insts)
   }
 
   // ------------------------------------------- flag / original arrays §5.1

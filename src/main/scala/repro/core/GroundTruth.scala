@@ -18,14 +18,7 @@ object GroundTruth {
     var i = 0
     while (i < times.length - 1 && times(i + 1) < t) i += 1
     // times(i) <= t <= times(i+1) (with t == times.head handled by i = 0)
-    if (t == times(i)) return Some(PathOps.mappedLocations(net, inst)(i))
-    if (i + 1 < times.length && t == times(i + 1))
-      return Some(PathOps.mappedLocations(net, inst)(i + 1))
-    val offs = PathOps.sampleOffsets(net, inst)
-    val span = times(i + 1) - times(i)
-    val frac = if (span == 0) 0.0 else (t - times(i)).toDouble / span
-    val d = offs(i) + frac * (offs(i + 1) - offs(i))
-    Some(PathOps.locateAt(net, inst, d))
+    Some(PathOps.resolve(net, inst).between(i, times(i), times(math.min(i + 1, times.length - 1)), t))
   }
 
   /** Probabilistic where query (Def. 10). */
@@ -41,8 +34,9 @@ object GroundTruth {
     */
   def passTimes(net: RoadNetwork, times: Array[Int], inst: Instance,
       vs: Int, ve: Int, rd: Double): Seq[Double] = {
-    val es = PathOps.pathEdges(net, inst)
-    val offs = PathOps.sampleOffsets(net, inst)
+    val path = PathOps.resolve(net, inst)
+    val es = path.edges
+    val offs = path.offsets
     val out = Seq.newBuilder[Double]
     var before = 0.0
     var k = 0

@@ -3,7 +3,7 @@ package repro.core
 import repro.core.GroundTruth.Rect
 import repro.index.{Grid, StIU}
 import repro.network.RoadNetwork
-import repro.traj.{Instance, PathOps}
+import repro.traj.{Instance, PathOps, ResolvedPath}
 import scala.collection.mutable
 
 /** Query processor over *compressed* uncertain trajectories (§5.3–5.4):
@@ -11,7 +11,8 @@ import scala.collection.mutable
   * index with partial decompression and the filtering Lemmas 1–4.
   *
   * Counters record how often each lemma avoided decompression so tests and
-  * benches can verify the filtering actually fires.
+  * benches can verify the filtering actually fires. Blobs decode with their
+  * own `ct.meta`; nothing here reads `meta`.
   */
 final class QueryEngine(
     val net: RoadNetwork,
@@ -28,8 +29,8 @@ final class QueryEngine(
 
   private def decodeInstance(ct: CompressedTraj, slotIdx: Int, isRef: Boolean): Instance = {
     stats.instanceDecompressions += 1
-    if (isRef) Decompressor.refInstance(meta, ct, slotIdx)
-    else Decompressor.nonRefInstance(meta, ct, slotIdx)
+    if (isRef) Decompressor.refInstance(ct, slotIdx)
+    else Decompressor.nonRefInstance(ct, slotIdx)
   }
 
   /** Decode the time sequence starting from the temporal-index entry
@@ -41,20 +42,21 @@ final class QueryEngine(
   def timesFor(trajId: Long, t: Int): Option[(Array[Int], Int)] = {
     val ct = store(trajId)
     val entries = index.temporal.getOrElse(trajId, Vector.empty)
-    if (entries.isEmpty) return Some((Decompressor.times(meta, ct), 0))
+    if (entries.isEmpty) return Some((Decompressor.times(ct), 0))
     val below = entries.filter(_.tStart <= t)
     if (below.isEmpty) None // t precedes the trajectory entirely
     else {
       val e = below.maxBy(_.tStart)
-      Some((Decompressor.timesFrom(meta, ct, e.tNo, e.tStart), e.tNo))
+      Some((Decompressor.timesFrom(ct, e.tNo, e.tStart), e.tNo))
     }
   }
 
-  /** Bracketing sample indices (i, i+1) around `t` in absolute terms.
-    * Returns (globalIdx, times-suffix, suffix-base) or None when t is
-    * outside the trajectory's time span.
+  /** Bracketing samples (i, i+1) around `t`: the sample index i in
+    * absolute terms and the timestamps t1 ≤ t ≤ t2 of both samples (t2 = t1
+    * when i is the last sample), or None when t is outside the trajectory's
+    * time span.
     */
-  private def bracket(trajId: Long, t: Int): Option[(Int, Array[Int], Int)] = {
+  private def bracket(trajId: Long, t: Int): Option[(Int, Int, Int)] = {
     timesFor(trajId, t) match {
       case None => None
       case Some((suffix, base)) =>
@@ -62,7 +64,7 @@ final class QueryEngine(
         else {
           var i = 0
           while (i < suffix.length - 1 && suffix(i + 1) < t) i += 1
-          Some((base + i, suffix, base))
+          Some((base + i, suffix(i), suffix(math.min(i + 1, suffix.length - 1))))
         }
     }
   }
@@ -76,19 +78,10 @@ final class QueryEngine(
     val ct = store(trajId)
     bracket(trajId, t) match {
       case None => Set.empty
-      case Some((i, suffix, base)) =>
+      case Some((i, t1, t2)) =>
         val out = mutable.Set[(Int, Int, Double)]()
         def handle(inst: Instance): Unit = {
-          val locs = PathOps.mappedLocations(net, inst)
-          val loc =
-            if (t == suffix(i - base)) locs(i)
-            else if (i - base + 1 < suffix.length && t == suffix(i - base + 1)) locs(i + 1)
-            else {
-              val offs = PathOps.sampleOffsets(net, inst)
-              val t1 = suffix(i - base); val t2 = suffix(i - base + 1)
-              val frac = if (t2 == t1) 0.0 else (t - t1).toDouble / (t2 - t1)
-              PathOps.locateAt(net, inst, offs(i) + frac * (offs(i + 1) - offs(i)))
-            }
+          val loc = PathOps.resolve(net, inst).between(i, t1, t2, t)
           out += ((loc.edge.from, loc.edge.to, loc.ndist))
         }
         ct.refs.indices.foreach { s =>
@@ -115,7 +108,7 @@ final class QueryEngine(
     val y = net.ys(vs) + rd * (net.ys(ve) - net.ys(vs))
     val tuples = index.refTuples.getOrElse((trajId, index.grid.cellOf(x, y)), Vector.empty)
     if (tuples.isEmpty) return Set.empty
-    val times = Decompressor.times(meta, ct)
+    val times = Decompressor.times(ct)
 
     val out = mutable.Set[Double]()
     val seenGroups = mutable.Set[Int]()
@@ -172,16 +165,15 @@ final class QueryEngine(
       } else {
         bracket(trajId, tq) match {
           case None => ()
-          case Some((i, suffix, base)) =>
-            val t1 = suffix(i - base)
-            val t2 = suffix(math.min(i - base + 1, suffix.length - 1))
+          case Some((i, t1, t2)) =>
             var confirmed = 0.0
             var accepted = false
 
             def classify(inst: Instance): Unit = {
               if (accepted) return
               // Subpath between the bracketing mapped locations (Lemma 2).
-              val sp = subpathVertices(inst, i)
+              val path = PathOps.resolve(net, inst)
+              val sp = subpathVertices(path, i)
               val inRe = sp.forall { case (x, y) => re.contains(x, y) }
               if (inRe) {
                 stats.lemma2Contained += 1
@@ -190,12 +182,7 @@ final class QueryEngine(
                 stats.lemma2Disjoint += 1
               } else {
                 stats.exactChecks += 1
-                val offs = PathOps.sampleOffsets(net, inst)
-                val frac = if (t2 == t1) 0.0 else (tq - t1).toDouble / (t2 - t1)
-                val d = if (i + 1 >= offs.length || t2 == t1) offs(i)
-                        else offs(i) + frac * (offs(i + 1) - offs(i))
-                val loc = PathOps.locateAt(net, inst, d)
-                val (x, y) = GroundTruth.locXY(net, loc)
+                val (x, y) = GroundTruth.locXY(net, path.between(i, t1, t2, tq))
                 if (re.contains(x, y)) confirmed += inst.prob
               }
               if (confirmed >= alpha) { accepted = true; stats.lemma3EarlyAccepts += 1 }
@@ -217,28 +204,11 @@ final class QueryEngine(
   /** Vertex coordinates of the subpath between the edges of samples i and
     * i+1 (inclusive of both edge endpoints) — Lemma 2's sp.
     */
-  private def subpathVertices(inst: Instance, i: Int): IndexedSeq[(Double, Double)] = {
-    val es = PathOps.pathEdges(net, inst)
-    // Owning edge ordinal of samples i and i+1.
-    val ords = sampleEdgeOrdinals(inst)
-    val a = ords(i)
-    val b = ords(math.min(i + 1, ords.length - 1))
-    val verts = (a to b).map(es(_).from) :+ es(b).to
+  private def subpathVertices(path: ResolvedPath, i: Int): IndexedSeq[(Double, Double)] = {
+    val a = path.sampleEdge(i)
+    val b = path.sampleEdge(math.min(i + 1, path.sampleEdge.length - 1))
+    val verts = (a to b).map(path.edges(_).from) :+ path.edges(b).to
     verts.map(v => (net.xs(v), net.ys(v)))
-  }
-
-  /** Path-edge ordinal carrying each sample. */
-  private def sampleEdgeOrdinals(inst: Instance): Array[Int] = {
-    val out = new Array[Int](inst.numSamples)
-    var s = 0
-    var ord = -1
-    var i = 0
-    while (i < inst.edges.length) {
-      if (inst.edges(i) != 0) ord += 1
-      if (inst.tflags(i)) { out(s) = ord; s += 1 }
-      i += 1
-    }
-    out
   }
 
   /** Conservative test whether the polyline touches RE: true if any vertex

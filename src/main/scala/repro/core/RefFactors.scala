@@ -171,12 +171,11 @@ object RefFactors {
     val out = ArrayBuffer[TfFactor]()
     var i = 0
     while (i < target.length) {
-      val (_, maxL) = longestBitMatch(ref, target, i)
+      val (maxS, maxL) = longestBitMatch(ref, target, i)
       if (maxL == 0) return None // bit not present in ref at all
       if (i + maxL == target.length) {
         // Terminal factor, no mismatch — (S, L) with hasM = false.
-        val (s, _) = longestBitMatch(ref, target, i)
-        out += TfFactor(s, maxL, None)
+        out += TfFactor(maxS, maxL, None)
         i += maxL
       } else {
         // Need an in-range genuine mismatch so the decoder can infer M.

@@ -2,7 +2,7 @@ package repro.index
 
 import repro.core._
 import repro.network.RoadNetwork
-import repro.traj.{Instance, PathOps, UTraj}
+import repro.traj.{Instance, PathOps, ResolvedPath, UTraj}
 import scala.collection.mutable
 
 /** The Spatio-temporal Information based Uncertain Trajectory Index
@@ -69,10 +69,15 @@ object StIU {
     * Returns (cell -> entering path-edge ordinal, or −1 for the start cell)
     * in arrival order.
     */
-  def cellArrivals(net: RoadNetwork, grid: Grid, inst: Instance): IndexedSeq[(Int, Int)] = {
-    val es = PathOps.pathEdges(net, inst)
+  def cellArrivals(net: RoadNetwork, grid: Grid, inst: Instance): IndexedSeq[(Int, Int)] =
+    cellArrivals(net, grid, PathOps.resolve(net, inst))
+
+  /** [[cellArrivals]] of an already resolved path. */
+  def cellArrivals(net: RoadNetwork, grid: Grid, path: ResolvedPath): IndexedSeq[(Int, Int)] = {
+    val es = path.edges
+    val sv = path.inst.sv
     val out = mutable.LinkedHashMap[Int, Int]()
-    out(grid.cellOf(net.xs(inst.sv), net.ys(inst.sv))) = -1
+    out(grid.cellOf(net.xs(sv), net.ys(sv))) = -1
     var j = 0
     while (j < es.length) {
       val e = es(j)
@@ -83,20 +88,9 @@ object StIU {
     out.toVector
   }
 
-  /** E-entry index of each path edge (skipping the 0 repeat markers). */
-  def entryIndexOfEdge(inst: Instance): Array[Int] = {
-    val out = Array.newBuilder[Int]
-    var i = 0
-    while (i < inst.edges.length) {
-      if (inst.edges(i) != 0) out += i
-      i += 1
-    }
-    out.result()
-  }
-
   /** Build the index entries of one compressed trajectory: its temporal
     * entries, its reference tuples, and an always-empty third slot (see
-    * [[NonRefTuple]]).
+    * [[NonRefTuple]]). `meta` must be the one that wrote `ct` (`ct.meta`).
     */
   def buildFor(
       net: RoadNetwork,
@@ -106,6 +100,7 @@ object StIU {
       traj: UTraj,
       ct: CompressedTraj,
   ): (IndexedSeq[TemporalEntry], IndexedSeq[RefTuple], IndexedSeq[NonRefTuple]) = {
+    ct.requireMeta(meta)
 
     // ---- temporal entries ----------------------------------------------
     val slotSec = params.slotSeconds
@@ -126,20 +121,21 @@ object StIU {
     // Per reference group (a reference and the non-references encoded
     // against it), one tuple for each cell a member visits. Probabilities
     // are the quantized ones, the only ones the compressed side knows.
-    val refCells = ct.refs.map(rl => cellArrivals(net, grid, traj.instances(rl.origIdx)).toMap)
+    val refPaths = ct.refs.map(rl => PathOps.resolve(net, traj.instances(rl.origIdx)))
+    val refCells = refPaths.map(cellArrivals(net, grid, _).toMap)
     val nonRefCells = ct.nonRefs.map(nl => cellArrivals(net, grid, traj.instances(nl.origIdx)).map(_._1).toSet)
     val refTuples = mutable.ArrayBuffer[RefTuple]()
     ct.refs.indices.foreach { refSlot =>
       val rl = ct.refs(refSlot)
-      val refInst = traj.instances(rl.origIdx)
+      val refPath = refPaths(refSlot)
+      val refInst = refPath.inst
       val entering = refCells(refSlot) // cell -> entering path-edge ordinal
       val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot)
 
       // ω and entry mapping of the reference for d.no = γ[fv.no].
       val storedRef = Compressor.storedTf(refInst.tflags)
       val omega = Decompressor.flagArray(storedRef)
-      val entryOfEdge = entryIndexOfEdge(refInst)
-      val refVerts = PathOps.pathVertices(net, refInst)
+      val refVerts = refPath.vertices
 
       (entering.keySet ++ nonRefs.flatMap(nonRefCells)).foreach { cell =>
         val nonRefProbs = nonRefs.filter(nonRefCells(_).contains(cell)).map(ct.nonRefs(_).prob)
@@ -152,9 +148,9 @@ object StIU {
           case Some(-1) => RefTuple(traj.id, cell, refSlot, refInst.sv, 0, rl.dOff, pTotal, pMax)
           case Some(edge) =>
             val fv = refVerts(edge) // from-vertex of the entering edge
-            val fvNo = entryOfEdge(edge)
+            val fvNo = refPath.edgeEntry(edge)
             val dNo = Decompressor.gammaRef(storedRef, refInst.edges.length, omega, fvNo)
-            val dPos = rl.dOff + math.min(dNo, ct.n - 1) * meta.pddpD.bits
+            val dPos = rl.dOff + math.min(dNo, ct.n - 1) * ct.meta.pddpD.bits
             RefTuple(traj.id, cell, refSlot, fv, fvNo, dPos, pTotal, pMax)
         })
       }

@@ -56,86 +56,87 @@ final case class MappedLoc(edge: Edge, rd: Double) {
   def ndist: Double = rd * edge.length
 }
 
-/** Geometry helpers shared by the generator, the ground-truth query
-  * evaluator, and the compressed-side query processor.
+/** An instance's path resolved against the network by one walk of its
+  * E/T′ ([[PathOps.resolve]]): everything the ground-truth evaluator, the
+  * StIU build and the compressed-side query processor read of an
+  * instance's geometry.
+  *
+  * @param edges      the path edges (E's 0 repeat markers skipped)
+  * @param edgeEntry  the E entry of each path edge
+  * @param sampleEdge the path-edge ordinal carrying each sample
+  * @param offsets    network distance from the path start to each sample
   */
+final class ResolvedPath(
+    val inst: Instance,
+    val edges: Array[Edge],
+    val edgeEntry: Array[Int],
+    val sampleEdge: Array[Int],
+    val offsets: Array[Double],
+) {
+
+  /** Vertex sequence visited by the path (length = #edges + 1). */
+  def vertices: Array[Int] =
+    if (edges.isEmpty) Array(inst.sv) else edges.map(_.from) :+ edges.last.to
+
+  /** Mapped location of sample `s`. */
+  def mapped(s: Int): MappedLoc = MappedLoc(edges(sampleEdge(s)), inst.dists(s))
+
+  /** The point at network distance `d` from the path start, clamped to the
+    * path.
+    */
+  def locateAt(d: Double): MappedLoc = {
+    var rem = math.max(0.0, d)
+    var i = 0
+    while (i < edges.length - 1 && rem > edges(i).length) { rem -= edges(i).length; i += 1 }
+    val e = edges(i)
+    MappedLoc(e, math.min(1.0, rem / e.length))
+  }
+
+  /** Location at time `t` between samples `i` (at `t1`) and `i + 1` (at
+    * `t2`), t1 ≤ t ≤ t2: the sample itself at either end, otherwise linear
+    * interpolation in network distance (the paper's Example 3).
+    */
+  def between(i: Int, t1: Int, t2: Int, t: Int): MappedLoc =
+    if (t == t1) mapped(i)
+    else if (t == t2) mapped(i + 1)
+    else {
+      val frac = (t - t1).toDouble / (t2 - t1)
+      locateAt(offsets(i) + frac * (offsets(i + 1) - offsets(i)))
+    }
+}
+
+/** The one walk of an instance path against the network. */
 object PathOps {
 
-  /** Resolve the edge objects of an instance path (0-entries skipped). */
-  def pathEdges(net: RoadNetwork, inst: Instance): Array[Edge] = {
-    val out = Array.newBuilder[Edge]
-    var v = inst.sv
-    var i = 0
-    while (i < inst.edges.length) {
-      val no = inst.edges(i)
-      if (no != 0) {
-        val e = net.edge(v, no)
-        out += e
-        v = e.to
-      }
-      i += 1
-    }
-    out.result()
-  }
-
-  /** Vertex sequence visited by the instance (length = #edges + 1). */
-  def pathVertices(net: RoadNetwork, inst: Instance): Array[Int] = {
-    val es = pathEdges(net, inst)
-    if (es.isEmpty) Array(inst.sv) else es.map(_.from) :+ es.last.to
-  }
-
-  /** Mapped locations of the instance in sample order. */
-  def mappedLocations(net: RoadNetwork, inst: Instance): Array[MappedLoc] = {
-    val out = new Array[MappedLoc](inst.numSamples)
+  /** Resolve an instance's path in one walk of its E/T′. */
+  def resolve(net: RoadNetwork, inst: Instance): ResolvedPath = {
+    val edges = Array.newBuilder[Edge]
+    val edgeEntry = Array.newBuilder[Int]
+    val sampleEdge = new Array[Int](inst.numSamples)
+    val offsets = new Array[Double](inst.numSamples)
     var v = inst.sv
     var cur: Edge = null
-    var s = 0
-    var i = 0
-    while (i < inst.edges.length) {
-      val no = inst.edges(i)
-      if (no != 0) { cur = net.edge(v, no); v = cur.to }
-      if (inst.tflags(i)) { out(s) = MappedLoc(cur, inst.dists(s)); s += 1 }
-      i += 1
-    }
-    require(s == inst.numSamples, s"T' carries $s samples, D has ${inst.numSamples}")
-    out
-  }
-
-  /** Cumulative network distance from the path start to each mapped
-    * location; used for time/space interpolation in where/when queries.
-    */
-  def sampleOffsets(net: RoadNetwork, inst: Instance): Array[Double] = {
-    val out = new Array[Double](inst.numSamples)
-    var v = inst.sv
-    var cur: Edge = null
-    var before = 0.0 // distance of path before current edge
+    var before = 0.0 // path length before the current edge
+    var ord = -1
     var s = 0
     var i = 0
     while (i < inst.edges.length) {
       val no = inst.edges(i)
       if (no != 0) {
         if (cur != null) before += cur.length
-        cur = net.edge(v, no); v = cur.to
+        cur = net.edge(v, no); v = cur.to; ord += 1
+        edges += cur; edgeEntry += i
       }
-      if (inst.tflags(i)) { out(s) = before + inst.dists(s) * cur.length; s += 1 }
+      if (inst.tflags(i)) {
+        sampleEdge(s) = ord
+        offsets(s) = before + inst.dists(s) * cur.length
+        s += 1
+      }
       i += 1
     }
-    out
+    new ResolvedPath(inst, edges.result(), edgeEntry.result(), sampleEdge, offsets)
   }
 
-  /** Total network length of the instance path. */
-  def pathLength(net: RoadNetwork, inst: Instance): Double =
-    pathEdges(net, inst).map(_.length).sum
-
-  /** Locate the point at network distance `d` from the path start: returns
-    * the mapped location on the appropriate edge (clamped to the path).
-    */
-  def locateAt(net: RoadNetwork, inst: Instance, d: Double): MappedLoc = {
-    val es = pathEdges(net, inst)
-    var rem = math.max(0.0, d)
-    var i = 0
-    while (i < es.length - 1 && rem > es(i).length) { rem -= es(i).length; i += 1 }
-    val e = es(i)
-    MappedLoc(e, math.min(1.0, rem / e.length))
-  }
+  /** The edges of an instance path (0-entries skipped). */
+  def pathEdges(net: RoadNetwork, inst: Instance): Array[Edge] = resolve(net, inst).edges
 }

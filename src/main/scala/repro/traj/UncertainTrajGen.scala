@@ -287,8 +287,6 @@ object UncertainTrajGen {
     */
   private def alternativeInto(
       net: RoadNetwork, rnd: Random, target: Int, origFrom: Int): Option[Array[Edge]] = {
-    val direct = (0 until net.numVertices).iterator // too slow to scan all; use in-edges via neighbours of target
-    val _ = direct
     // In a mostly-bidirectional network, the out-neighbours of `target` are
     // also its in-neighbours; probe them.
     val cands = net.outEdges(target).map(_.to).filter(u => u != origFrom && net.hasEdge(u, target))
@@ -322,7 +320,6 @@ object UncertainTrajGen {
     }
     val spanOld = base.slice(a, b).map(_.length).sum
     val spanNew = alt.map(_.length).sum
-    val offBeforeOld = base.slice(0, a).map(_.length).sum
     val shift = alt.length - (b - a)
 
     val newSamples = new Array[(Int, Double)](samples.length)
@@ -344,7 +341,6 @@ object UncertainTrajGen {
       }
       i += 1
     }
-    val _ = offBeforeOld
     Some((newPath, newSamples))
   }
 

@@ -122,10 +122,27 @@ class TedSpec extends SparkSpec {
       val tq = dec.times(dec.times.length / 2)
       assert(engine.where(orig.id, tq, 0.2) == GroundTruth.where(net, dec, tq, 0.2))
       val inst = dec.instances.head
-      val locs = PathOps.mappedLocations(net, inst)
-      val l = locs(rnd.nextInt(locs.length))
+      val l = PathOps.resolve(net, inst).mapped(rnd.nextInt(inst.numSamples))
       assert(engine.when(orig.id, l.edge.from, l.edge.to, l.rd, 0.2) ==
         GroundTruth.when(net, dec, l.edge.from, l.edge.to, l.rd, 0.2))
+    }
+  }
+
+  test("TED when agrees with ground truth at random points of every path, also in cells an edge only clips") {
+    // With a 32×32 grid some edges cross a cell without ending or having
+    // their midpoint in it; a pass there must still be found.
+    val grid = Grid.over(net, 32)
+    val engine = new TedQueryEngine(net, ds, grid, params.slotSeconds)
+    val rnd = new Random(2)
+    ds.trajs.foreach { tt =>
+      val dec = TedCompressor.decompressTraj(ds, tt)
+      (1 to 30).foreach { _ =>
+        val es = PathOps.pathEdges(net, dec.instances(rnd.nextInt(dec.instances.length)))
+        val e = es(rnd.nextInt(es.length))
+        val rd = rnd.nextDouble()
+        assert(engine.when(tt.id, e.from, e.to, rd, 0.0) == GroundTruth.when(net, dec, e.from, e.to, rd, 0.0),
+          s"traj ${tt.id} at ${e.from}->${e.to}@$rd")
+      }
     }
   }
 
@@ -156,8 +173,7 @@ class TedSpec extends SparkSpec {
       repro.index.StIU.assemble(grid, params.slotSeconds, parts), store)
     trajs.take(20).foreach { t =>
       val inst = t.instances.last
-      val locs = PathOps.mappedLocations(net, inst)
-      val l = locs(locs.length / 2)
+      val l = PathOps.resolve(net, inst).mapped(inst.numSamples / 2)
       tedEngine.when(t.id, l.edge.from, l.edge.to, l.rd, 0.9)
       utcqEngine.when(t.id, l.edge.from, l.edge.to, l.rd, 0.9)
     }

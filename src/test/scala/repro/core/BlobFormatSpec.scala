@@ -49,20 +49,20 @@ class BlobFormatSpec extends SparkSpec {
       assert(ct.deltaOffs.length == t.times.length - 1)
       assert(ct.numInstances == t.instances.length)
       assert((ct.refs.map(_.origIdx) ++ ct.nonRefs.map(_.origIdx)).sorted.toSeq == t.instances.indices)
-      ct.refs.indices.foreach(s => assert(Decompressor.refSv(meta, ct, s) == t.instances(ct.refs(s).origIdx).sv))
+      ct.refs.indices.foreach(s => assert(Decompressor.refSv(ct, s) == t.instances(ct.refs(s).origIdx).sv))
       ct.nonRefs.indices.foreach { k =>
         // Each factor offset (the StIU ma.pos) is where that factor's S field
         // starts, and each span is where its entries start in E(nonref).
         val nl = ct.nonRefs(k)
         val lay = RefFactors.ELayout(ct.refs(nl.refSlot).eLen, meta.symBits)
-        val factors = Decompressor.nonRefEFactors(meta, ct, k)
+        val factors = Decompressor.nonRefEFactors(ct, k)
         val starts = factors.map {
           case RefFactors.Slm(s, _, _) => s
           case RefFactors.Sl(s, _)     => s
           case _: RefFactors.Sm        => lay.refLen
         }
         assert(nl.comEFactorOffs.toSeq.map(ct.bits.readBits(_, lay.sBits).toInt) == starts)
-        val edges = RefFactors.reconstructE(Decompressor.refEdges(meta, ct, nl.refSlot), factors)
+        val edges = RefFactors.reconstructE(Decompressor.refEdges(ct, nl.refSlot), factors)
         assert(edges.toSeq == t.instances(nl.origIdx).edges.toSeq)
         assert((nl.comEFactorSpans :+ edges.length).sliding(2).forall(p => p.length < 2 || p(0) < p(1)))
       }
@@ -85,6 +85,19 @@ class BlobFormatSpec extends SparkSpec {
       val e = intercept[IllegalArgumentException](long.refs)
       assert(e.getMessage.contains(s"trajectory ${ct.id}") && e.getMessage.contains(s"${ct.blobBits}"))
     }
+  }
+
+  test("decoding with widths other than the blob's fails naming the trajectory") {
+    // An HZ blob written at η_D = 1/128, read at η_D = 1/64 or with Ts = 10:
+    // the component decoders use the blob's own meta, and decompress refuses
+    // a different one instead of failing deep inside or returning wrong times.
+    val (m, p, ts) = setup("HZ")
+    val ct = Compressor.compress(m, p, ts.head).ct
+    Seq(m.copy(etaD = 1.0 / 64), m.copy(ts = 10)).foreach { other =>
+      val e = intercept[IllegalArgumentException](Decompressor.decompress(other, ct))
+      assert(e.getMessage.startsWith(s"trajectory ${ct.id}:"), e.getMessage)
+    }
+    assert(Decompressor.decompress(m, ct).times.toSeq == ts.head.times.toSeq)
   }
 
   test("Java serialization keeps only the blob and rebuilds the layout") {

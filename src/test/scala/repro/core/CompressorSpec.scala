@@ -93,12 +93,12 @@ class CompressorSpec extends SparkSpec {
   test("partial time decode from an arbitrary index matches the full decode") {
     trajs.take(20).foreach { t =>
       val ct = Compressor.compress(meta, params, t).ct
-      val full = Decompressor.times(meta, ct)
+      val full = Decompressor.times(ct)
       assert(full.toSeq == t.times.toSeq)
       val mid = full.length / 2
-      val suffix = Decompressor.timesFrom(meta, ct, mid, full(mid))
+      val suffix = Decompressor.timesFrom(ct, mid, full(mid))
       assert(suffix.toSeq == full.drop(mid).toSeq)
-      val last = Decompressor.timesFrom(meta, ct, full.length - 1, full.last)
+      val last = Decompressor.timesFrom(ct, full.length - 1, full.last)
       assert(last.toSeq == Seq(full.last))
     }
   }
@@ -107,16 +107,16 @@ class CompressorSpec extends SparkSpec {
     trajs.take(20).foreach { t =>
       val ct = Compressor.compress(meta, params, t).ct
       ct.refs.indices.foreach { s =>
-        val inst = Decompressor.refInstance(meta, ct, s)
+        val inst = Decompressor.refInstance(ct, s)
         val orig = t.instances(ct.refs(s).origIdx)
         assert(inst.edges.toSeq == orig.edges.toSeq)
         inst.edges.indices.foreach { e =>
-          assert(Decompressor.refEdgeEntry(meta, ct, s, e) == orig.edges(e))
+          assert(Decompressor.refEdgeEntry(ct, s, e) == orig.edges(e))
         }
         val pddpD = meta.pddpD
         inst.dists.indices.foreach { i =>
           val dPos = ct.refs(s).dOff + i * pddpD.bits
-          assert(Decompressor.refDistAt(meta, ct, dPos) == inst.dists(i))
+          assert(Decompressor.refDistAt(ct, dPos) == inst.dists(i))
         }
       }
     }

@@ -130,7 +130,7 @@ class EdgeCasesSpec extends SparkSpec {
 
   test("timesFrom at the last index returns the single trailing timestamp") {
     val ct = Compressor.compress(meta, params, tiny).ct
-    assert(Decompressor.timesFrom(meta, ct, 1, 110).toSeq == Seq(110))
+    assert(Decompressor.timesFrom(ct, 1, 110).toSeq == Seq(110))
   }
 
   test("empty referential representation set: references without Rrs decode fine") {

@@ -47,10 +47,10 @@ class GroundTruthSpec extends SparkSpec {
 
   test("locationAt at the exact first/last timestamps returns the endpoints") {
     val first = locationAt(net, times, tu11, times.head).get
-    val locs = PathOps.mappedLocations(net, tu11)
-    assert(first == locs.head)
+    val path = PathOps.resolve(net, tu11)
+    assert(first == path.mapped(0))
     val last = locationAt(net, times, tu11, times.last).get
-    assert(last == locs.last)
+    assert(last == path.mapped(tu11.numSamples - 1))
   }
 
   test("overlapProb sums instance probabilities inside a region") {

@@ -17,11 +17,11 @@ class PaperExamplesSpec extends SparkSpec {
   // ---------------------------------------------------------------- Table 3
 
   test("Table 3: instances resolve to the paper's paths") {
-    val p1 = PathOps.pathVertices(net, tu11).toSeq
+    val p1 = PathOps.resolve(net, tu11).vertices.toSeq
     assert(p1 == Seq(v1, v2, v3, v4, v5, v6, v7, v8))
-    val p2 = PathOps.pathVertices(net, tu12).toSeq
+    val p2 = PathOps.resolve(net, tu12).vertices.toSeq
     assert(p2 == Seq(v1, v2, v10, v4, v5, v6, v7, v8))
-    val p3 = PathOps.pathVertices(net, tu13).toSeq
+    val p3 = PathOps.resolve(net, tu13).vertices.toSeq
     assert(p3 == Seq(v1, v2, v3, v4, v5, v6, v7, v8, v9))
   }
 

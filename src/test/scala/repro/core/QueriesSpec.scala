@@ -74,8 +74,7 @@ class QueriesSpec extends SparkSpec {
     trajs.take(30).foreach { t =>
       val dec = decompressed(t.id)
       val inst = dec.instances(rnd.nextInt(dec.instances.length))
-      val locs = PathOps.mappedLocations(net, inst)
-      val l = locs(rnd.nextInt(locs.length))
+      val l = PathOps.resolve(net, inst).mapped(rnd.nextInt(inst.numSamples))
       alphas.foreach { a =>
         val got = engine.when(t.id, l.edge.from, l.edge.to, l.rd, a)
         val exp = GroundTruth.when(net, dec, l.edge.from, l.edge.to, l.rd, a)
@@ -118,7 +117,8 @@ class QueriesSpec extends SparkSpec {
       ct = compressed(t.id)
       dec = decompressed(t.id)
       nl <- ct.nonRefs.iterator
-      l <- PathOps.mappedLocations(net, dec.instances(nl.origIdx)).iterator
+      path = PathOps.resolve(net, dec.instances(nl.origIdx))
+      l <- path.inst.dists.indices.iterator.map(path.mapped)
       (x, y) = GroundTruth.locXY(net, l)
       tuples = engine.index.refTuples.getOrElse((t.id, grid.cellOf(x, y)), Vector.empty)
       if tuples.nonEmpty && tuples.forall(_.fvId == -1)
@@ -153,8 +153,7 @@ class QueriesSpec extends SparkSpec {
     trajs.take(40).foreach { t =>
       val dec = decompressed(t.id)
       dec.instances.drop(1).take(1).foreach { inst =>
-        val locs = PathOps.mappedLocations(net, inst)
-        val l = locs(locs.length / 2)
+        val l = PathOps.resolve(net, inst).mapped(inst.numSamples / 2)
         engine.when(t.id, l.edge.from, l.edge.to, l.rd, 0.95)
       }
     }
@@ -176,6 +175,23 @@ class QueriesSpec extends SparkSpec {
         val got = engine.range(re, tq, a)
         val exp = GroundTruth.range(net, decAll, re, tq, a)
         assert(got == exp, s"tq=$tq re=$re alpha=$a")
+      }
+    }
+  }
+
+  test("range at a sample timestamp, with a region edge through that sample, agrees with ground truth") {
+    // The sample's location is the mapped location itself, not one
+    // re-derived from its network offset, which may differ in the last bits
+    // and fall on the other side of the region's edge.
+    val decAll = trajs.map(t => decompressed(t.id))
+    val d = decompressed(trajs.head.id)
+    val inst = d.instances.head
+    d.times.foreach { tq =>
+      val (x, y) = GroundTruth.locXY(net, GroundTruth.locationAt(net, d.times, inst, tq).get)
+      Seq(Rect(x, y - 50, x + 50, y + 50), Rect(x - 50, y - 50, x, y + 50),
+          Rect(x - 50, y, x + 50, y + 50), Rect(x - 50, y - 50, x + 50, y)).foreach { re =>
+        val a = GroundTruth.overlapProb(net, d, re, tq) // the mass hinges on this sample
+        assert(engine.range(re, tq, a) == GroundTruth.range(net, decAll, re, tq, a), s"tq=$tq re=$re alpha=$a")
       }
     }
   }

@@ -54,7 +54,7 @@ class StIUSpec extends SparkSpec {
       temporal.foreach { e =>
         if (e.tNo < ct.n - 1) {
           assert(e.tPos == ct.deltaOffs(e.tNo))
-          val suffix = Decompressor.timesFrom(meta, ct, e.tNo, e.tStart)
+          val suffix = Decompressor.timesFrom(ct, e.tNo, e.tStart)
           assert(suffix.toSeq == t.times.drop(e.tNo).toSeq)
         } else assert(e.tPos == -1)
       }
@@ -153,12 +153,12 @@ class StIUSpec extends SparkSpec {
     parts.take(10).foreach { case (t, ct, (_, refTuples, _)) =>
       refTuples.filter(_.fvId >= 0).foreach { rt =>
         val refInst = t.instances(ct.refs(rt.refSlot).origIdx)
-        val verts = PathOps.pathVertices(net, refInst)
+        val path = PathOps.resolve(net, refInst)
+        val verts = path.vertices
         assert(verts.contains(rt.fvId))
         if (rt.fvNo > 0) {
           // fv.no indexes an E entry whose edge leaves fv.
-          val entryOf = StIU.entryIndexOfEdge(refInst)
-          val ord = entryOf.indexOf(rt.fvNo)
+          val ord = path.edgeEntry.indexOf(rt.fvNo)
           assert(ord >= 0)
           assert(verts(ord) == rt.fvId)
         }

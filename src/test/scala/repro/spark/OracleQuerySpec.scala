@@ -81,8 +81,8 @@ class OracleQuerySpec extends SparkSpec {
 
     // Relational table of the instances' sample-i mapped locations.
     val samples = t.instances.map { in =>
-      val locs = repro.traj.PathOps.mappedLocations(pipe.net, in)
-      (t.id, in.prob, locs(i).edge.from, locs(i).edge.to, locs(i).ndist)
+      val l = repro.traj.PathOps.resolve(pipe.net, in).mapped(i)
+      (t.id, in.prob, l.edge.from, l.edge.to, l.ndist)
     }.toSeq.toDF("trajid", "prob", "vfrom", "vto", "ndist")
 
     val got = UtcqSpark.whereQuery(pipe.net, pipe.meta, params, rows, t.id, tq, alpha)

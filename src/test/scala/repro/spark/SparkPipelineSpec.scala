@@ -97,8 +97,7 @@ class SparkPipelineSpec extends SparkSpec {
       }
       assert(UtcqSpark.whereQuery(pipe.net, pipe.meta, params, parted, t.id, tq, alpha) ==
         engine.where(t.id, tq, alpha), s"where traj ${t.id} alpha $alpha")
-      val locs = PathOps.mappedLocations(pipe.net, t.instances.head)
-      val l = locs(locs.length / 2)
+      val l = PathOps.resolve(pipe.net, t.instances.head).mapped(t.numSamples / 2)
       assert(UtcqSpark.whenQuery(pipe.net, pipe.meta, params, parted, t.id, l.edge.from, l.edge.to, l.rd, alpha) ==
         engine.when(t.id, l.edge.from, l.edge.to, l.rd, alpha), s"when traj ${t.id} alpha $alpha")
     }
@@ -121,8 +120,7 @@ class SparkPipelineSpec extends SparkSpec {
     trajs.take(5).foreach { t =>
       val dec = Decompressor.decompress(pipe.meta, Compressor.compress(pipe.meta, params, t).ct)
       val inst = dec.instances.head
-      val locs = PathOps.mappedLocations(pipe.net, inst)
-      val l = locs(locs.length / 2)
+      val l = PathOps.resolve(pipe.net, inst).mapped(inst.numSamples / 2)
       val got = UtcqSpark.whenQuery(pipe.net, pipe.meta, params, rows, t.id, l.edge.from, l.edge.to, l.rd, 0.2)
       val exp = GroundTruth.when(pipe.net, dec, l.edge.from, l.edge.to, l.rd, 0.2)
       assert(got == exp, s"traj ${t.id}")

@@ -14,12 +14,13 @@ class PathOpsSpec extends SparkSpec {
   }
 
   test("pathVertices has one more vertex than edges") {
-    assert(PathOps.pathVertices(net, tu11).length == 8)
-    assert(PathOps.pathVertices(net, tu13).length == 9)
+    assert(PathOps.resolve(net, tu11).vertices.length == 8)
+    assert(PathOps.resolve(net, tu13).vertices.length == 9)
   }
 
   test("mappedLocations aligns samples with edges via T'") {
-    val locs = PathOps.mappedLocations(net, tu11)
+    val path = PathOps.resolve(net, tu11)
+    val locs = tu11.dists.indices.map(path.mapped)
     assert(locs.length == 7)
     // l0 on (v1,v2), l1 on (v3,v4), l2 and l3 on (v5,v6), l4 on (v6,v7),
     // l5 and l6 on (v7,v8) — from Fig. 2a.
@@ -28,46 +29,52 @@ class PathOpsSpec extends SparkSpec {
     assert(locs(2).edge.from == v5 && locs(3).edge.from == v5)
     assert(locs(4).edge.from == v6)
     assert(locs(5).edge.from == v7 && locs(6).edge.from == v7)
+    // The E entry of each path edge skips the 0 repeat markers.
+    assert(path.edgeEntry.map(tu11.edges(_)).forall(_ != 0))
+    assert(path.edgeEntry.length == path.edges.length)
   }
 
   test("sampleOffsets is non-decreasing and bounded by path length") {
     Seq(tu11, tu12, tu13).foreach { in =>
-      val offs = PathOps.sampleOffsets(net, in)
-      val total = PathOps.pathLength(net, in)
+      val path = PathOps.resolve(net, in)
+      val offs = path.offsets
       offs.sliding(2).foreach { case Array(a, b) => assert(b >= a); case _ => () }
-      assert(offs.head >= 0 && offs.last <= total + 1e-9)
+      assert(offs.head >= 0 && offs.last <= path.edges.map(_.length).sum + 1e-9)
     }
   }
 
   test("locateAt at 0 is the path start; past the end clamps to the last edge") {
-    val l0 = PathOps.locateAt(net, tu11, 0.0)
+    val path = PathOps.resolve(net, tu11)
+    val l0 = path.locateAt(0.0)
     assert(l0.edge.from == v1 && l0.rd == 0.0)
-    val lEnd = PathOps.locateAt(net, tu11, 1e9)
+    val lEnd = path.locateAt(1e9)
     assert(lEnd.edge.from == v7 && lEnd.rd == 1.0)
   }
 
   test("locateAt inverts sampleOffsets at sample positions") {
-    val offs = PathOps.sampleOffsets(net, tu11)
-    val locs = PathOps.mappedLocations(net, tu11)
+    val path = PathOps.resolve(net, tu11)
+    val offs = path.offsets
     offs.indices.foreach { i =>
-      val l = PathOps.locateAt(net, tu11, offs(i))
+      val l = path.locateAt(offs(i))
       // Boundary samples (rd = 0 or 1) may legitimately resolve to the
       // adjacent edge; compare network positions instead of edges.
       val dExpected = offs(i)
-      val es = PathOps.pathEdges(net, tu11)
       var before = 0.0
       var found = false
-      es.foreach { e =>
+      path.edges.foreach { e =>
         if (e == l.edge) { assert(math.abs(before + l.ndist - dExpected) < 1e-6); found = true }
         if (!found) before += e.length
       }
-      assert(found, s"sample $i: ${locs(i)}")
+      assert(found, s"sample $i: ${path.mapped(i)}")
     }
   }
 
-  test("pathLength sums the edge lengths") {
-    assert(math.abs(PathOps.pathLength(net, tu11) -
-      (160.0 + 180 + 160 + 150 + 170 + 200 + 190)) < 1e-9)
+  test("between returns the samples at their timestamps and interpolates in between") {
+    val path = PathOps.resolve(net, tu11)
+    assert(path.between(1, 100, 120, 100) == path.mapped(1))
+    assert(path.between(1, 100, 120, 120) == path.mapped(2))
+    val mid = path.between(1, 100, 120, 110)
+    assert(mid == path.locateAt(path.offsets(1) + 0.5 * (path.offsets(2) - path.offsets(1))))
   }
 
   test("instance invariants are enforced") {

@@ -76,7 +76,7 @@ class TrajGenSpec extends SparkSpec {
   test("samples advance monotonically along the path") {
     trajs.take(40).foreach { t =>
       t.instances.foreach { in =>
-        val offs = PathOps.sampleOffsets(net, in)
+        val offs = PathOps.resolve(net, in).offsets
         offs.sliding(2).foreach {
           case Array(a, b) => assert(b >= a - 1e-6)
           case _           => ()
@@ -139,8 +139,9 @@ class TrajGenSpec extends SparkSpec {
   test("mapped locations resolve for every instance") {
     trajs.take(40).foreach { t =>
       t.instances.foreach { in =>
-        val locs = PathOps.mappedLocations(net, in)
-        assert(locs.length == in.numSamples)
+        val path = PathOps.resolve(net, in)
+        assert(path.sampleEdge.length == in.numSamples)
+        assert(path.sampleEdge.forall(o => o >= 0 && o < path.edges.length))
       }
     }
   }
