@@ -11,15 +11,21 @@ import scala.collection.mutable
   * index with partial decompression and the filtering Lemmas 1–4.
   *
   * Counters record how often each lemma avoided decompression so tests and
-  * benches can verify the filtering actually fires. Blobs decode with their
-  * own `ct.meta`; nothing here reads `meta`.
+  * benches can verify the filtering actually fires. They are plain `var`s:
+  * concurrent queries on one engine (Spark tasks of parallel jobs on a
+  * cached engine) may lose counts. Blobs decode with their own `ct.meta`;
+  * nothing here reads `meta`.
+  *
+  * Where and when answer nothing for an id the engine does not hold, so an
+  * engine over part of a dataset needs no guard. The engine is
+  * serializable, so Spark can spill a cached one to disk.
   */
 final class QueryEngine(
     val net: RoadNetwork,
     val meta: DatasetMeta,
     val index: StIU.Index,
     val store: Map[Long, CompressedTraj],
-) {
+) extends Serializable {
 
   import QueryEngine.Stats
 
@@ -75,6 +81,7 @@ final class QueryEngine(
     * the instances with probability ≥ α.
     */
   def where(trajId: Long, t: Int, alpha: Double): Set[(Int, Int, Double)] = {
+    if (!store.contains(trajId)) return Set.empty
     val ct = store(trajId)
     bracket(trajId, t) match {
       case None => Set.empty
@@ -102,8 +109,8 @@ final class QueryEngine(
     * anything.
     */
   def when(trajId: Long, vs: Int, ve: Int, rd: Double, alpha: Double): Set[Double] = {
+    if (!store.contains(trajId) || net.edgeBetween(vs, ve).isEmpty) return Set.empty
     val ct = store(trajId)
-    if (net.edgeBetween(vs, ve).isEmpty) return Set.empty
     val x = net.xs(vs) + rd * (net.xs(ve) - net.xs(vs))
     val y = net.ys(vs) + rd * (net.ys(ve) - net.ys(vs))
     val tuples = index.refTuples.getOrElse((trajId, index.grid.cellOf(x, y)), Vector.empty)

@@ -94,15 +94,6 @@ class EdgeCasesSpec extends SparkSpec {
       trajs.exists(_.times.last / params.slotSeconds == 86399 / params.slotSeconds))
   }
 
-  test("where on an unknown trajectory id throws cleanly") {
-    val trajs = UncertainTrajGen.dataset(net, UncertainTrajGen.CD, 3)
-    val cts = trajs.map(t => t.id -> Compressor.compress(meta, params, t).ct).toMap
-    val grid = Grid.over(net, 16)
-    val parts = trajs.map(t => StIU.buildFor(net, grid, meta, params, t, cts(t.id)))
-    val engine = new QueryEngine(net, meta, StIU.assemble(grid, params.slotSeconds, parts), cts)
-    intercept[NoSuchElementException](engine.where(999L, 100, 0.1))
-  }
-
   test("when on a nonexistent edge returns empty") {
     val trajs = UncertainTrajGen.dataset(net, UncertainTrajGen.CD, 3)
     val cts = trajs.map(t => t.id -> Compressor.compress(meta, params, t).ct).toMap

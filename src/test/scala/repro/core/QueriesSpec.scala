@@ -146,6 +146,38 @@ class QueriesSpec extends SparkSpec {
     assert(got == GroundTruth.when(net, dec, e.from, e.to, 0.5, 0.0))
   }
 
+  test("where and when on a trajectory id the engine does not hold answer nothing") {
+    // The point and time of a held trajectory, asked under another id.
+    val t = trajs.head
+    val tq = t.times(t.times.length / 2)
+    val l = PathOps.resolve(net, decompressed(t.id).instances.head).mapped(t.numSamples / 2)
+    assert(engine.where(t.id, tq, 0.0).nonEmpty && engine.when(t.id, l.edge.from, l.edge.to, l.rd, 0.0).nonEmpty)
+    val unknown = compressed.keys.max + 1
+    assert(engine.where(unknown, tq, 0.0).isEmpty)
+    assert(engine.when(unknown, l.edge.from, l.edge.to, l.rd, 0.0).isEmpty)
+  }
+
+  test("a Java-serialized engine answers every query like the original") {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(engine)
+    out.close()
+    val back = new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[QueryEngine]
+    trajs.take(10).foreach { t =>
+      val tq = t.times(t.times.length / 2)
+      val l = PathOps.resolve(net, decompressed(t.id).instances.head).mapped(t.numSamples / 2)
+      val (cx, cy) = GroundTruth.locXY(net, l)
+      val re = Rect(cx - 1500, cy - 1500, cx + 1500, cy + 1500)
+      alphas.foreach { a =>
+        assert(back.where(t.id, tq, a) == engine.where(t.id, tq, a), s"where traj ${t.id} alpha $a")
+        assert(back.when(t.id, l.edge.from, l.edge.to, l.rd, a) == engine.when(t.id, l.edge.from, l.edge.to, l.rd, a),
+          s"when traj ${t.id} alpha $a")
+        assert(back.range(re, tq, a) == engine.range(re, tq, a), s"range traj ${t.id} alpha $a")
+      }
+    }
+  }
+
   test("Lemma 1 fires: low-p_max groups are skipped without decompression") {
     // Query many locations at a high alpha; whenever every non-reference of
     // a group is below alpha, the group must be skipped.

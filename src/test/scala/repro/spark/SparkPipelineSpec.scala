@@ -1,5 +1,6 @@
 package repro.spark
 
+import org.apache.spark.sql.Dataset
 import repro.SparkSpec
 import repro.core._
 import repro.core.GroundTruth.Rect
@@ -16,6 +17,34 @@ class SparkPipelineSpec extends SparkSpec {
   private lazy val pipe = UtcqSpark.pipeline(RoadNetworkGen.CD, UncertainTrajGen.CD, params)
   private lazy val trajsDs = UtcqSpark.generate(spark, pipe.net, UncertainTrajGen.CD, 40).cache()
   private lazy val rows = UtcqSpark.compress(spark, pipe.net, pipe.meta, params, trajsDs).cache()
+
+  /** One local engine over all 40 trajectories: the reference answers. */
+  private lazy val localEngine: QueryEngine = {
+    val trajs = trajsDs.collect()
+    val store = trajs.map(t => t.id -> Compressor.compress(pipe.meta, params, t).ct).toMap
+    val grid = Grid.over(pipe.net, params.gridCells)
+    val parts = trajs.map(t => repro.index.StIU.buildFor(pipe.net, grid, pipe.meta, params, t, store(t.id)))
+    new QueryEngine(pipe.net, pipe.meta, repro.index.StIU.assemble(grid, params.slotSeconds, parts.toSeq), store)
+  }
+
+  /** A where, a when and a range query about trajectory `t` on `ds` answer
+    * like the local engine.
+    */
+  private def assertLikeLocal(ds: Dataset[UtcqSpark.CompressedRow], t: UTraj, alpha: Double): Unit = {
+    val tq = t.times(t.times.length / 2)
+    val l = PathOps.resolve(pipe.net, t.instances.head).mapped(t.numSamples / 2)
+    val (x, y) = GroundTruth.locXY(pipe.net, l)
+    val re = Rect(x - 2000, y - 2000, x + 2000, y + 2000)
+    assert(UtcqSpark.whereQuery(pipe.net, pipe.meta, params, ds, t.id, tq, alpha) ==
+      localEngine.where(t.id, tq, alpha), s"where traj ${t.id} alpha $alpha")
+    assert(UtcqSpark.whenQuery(pipe.net, pipe.meta, params, ds, t.id, l.edge.from, l.edge.to, l.rd, alpha) ==
+      localEngine.when(t.id, l.edge.from, l.edge.to, l.rd, alpha), s"when traj ${t.id} alpha $alpha")
+    assert(UtcqSpark.rangeQuery(pipe.net, pipe.meta, params, ds, re, tq, alpha).toSet ==
+      localEngine.range(re, tq, alpha), s"range traj ${t.id} alpha $alpha")
+  }
+
+  private def enginesRdds: Int =
+    spark.sparkContext.getPersistentRDDs.values.count(_.name == UtcqSpark.EnginesName)
 
   test("distributed generation equals local generation") {
     val dist = trajsDs.collect().sortBy(_.id)
@@ -127,6 +156,19 @@ class SparkPipelineSpec extends SparkSpec {
     }
   }
 
+  test("queries interleaved on two Datasets each answer like the local engine") {
+    val parted = rows.repartition(3).cache()
+    for (alpha <- Seq(0.0, 0.3, 0.6); t <- trajsDs.collect().sortBy(_.id).take(4); ds <- Seq(rows, parted))
+      assertLikeLocal(ds, t, alpha)
+    parted.unpersist()
+  }
+
+  test("after queries on three Datasets at most one engines RDD stays persisted") {
+    val t = trajsDs.collect().minBy(_.id)
+    Seq(rows, rows.repartition(2), rows.repartition(3)).foreach(assertLikeLocal(_, t, 0.2))
+    assert(enginesRdds <= 1, s"$enginesRdds engines RDDs persisted")
+  }
+
   test("SynthData.uncertainTrajectories produces the documented profiles") {
     val ds: org.apache.spark.sql.Dataset[UTraj] = repro.SynthData.uncertainTrajectories(spark, "CD", 0.0002)
     val collected = ds.collect()
@@ -141,5 +183,15 @@ class SparkPipelineSpec extends SparkSpec {
     val compressed = UtcqSpark.totalSizes(rows)
     assert(compressed.total < original.total / 3,
       s"expected >3x compression, got ${original.total.toDouble / compressed.total}")
+  }
+
+  // Last: it drops every cached block of the session, this suite's included.
+  test("queries answer like the local engine after every persisted RDD is unpersisted") {
+    val ts = trajsDs.collect().sortBy(_.id).take(3)
+    assertLikeLocal(rows, ts(0), 0.2) // builds and checkpoints the engines
+    spark.sparkContext.getPersistentRDDs.values.foreach(_.unpersist(blocking = true))
+    assert(enginesRdds == 0)
+    ts.foreach(assertLikeLocal(rows, _, 0.2))
+    assert(enginesRdds == 1, "the engines were not rebuilt")
   }
 }
