@@ -88,32 +88,24 @@ object Decompressor {
 
   // -------------------------------------------------------------- times
 
-  /** Decode the full time sequence. */
-  def times(ct: CompressedTraj): Array[Int] = {
-    val meta = ct.meta
-    val r = new BitReader(ct.bits, ct.tOff)
-    val t0 = r.readBits(meta.t0Bits).toInt
-    val deltas = new Array[Int](ct.n - 1)
-    var i = 0
-    while (i < deltas.length) { deltas(i) = ExpGolomb.decode(r); i += 1 }
-    Siar.restore(t0, deltas, meta.ts)
-  }
+  /** Decode the full time sequence: [[timesFrom]] sample 0, whose
+    * timestamp t0 heads T̂.
+    */
+  def times(ct: CompressedTraj): Array[Int] =
+    timesFrom(ct, 0, ct.bits.readBits(ct.tOff, ct.meta.t0Bits).toInt)
 
   /** Decode timestamps `fromIdx until ct.n`, starting mid-stream at the Δ
     * offset the temporal index stored (t.pos); `tStart` is the timestamp at
     * `fromIdx` (t.start). Cost is proportional to the decoded suffix only.
     */
   def timesFrom(ct: CompressedTraj, fromIdx: Int, tStart: Int): Array[Int] = {
-    if (fromIdx >= ct.n - 1) return Array(tStart)
-    val r = new BitReader(ct.bits, ct.deltaOffs(fromIdx))
-    val out = new Array[Int](ct.n - fromIdx)
-    out(0) = tStart
-    var i = 1
-    while (i < out.length) {
-      out(i) = out(i - 1) + ct.meta.ts + ExpGolomb.decode(r)
-      i += 1
+    val deltas = new Array[Int](math.max(0, ct.n - 1 - fromIdx))
+    if (deltas.nonEmpty) {
+      val r = new BitReader(ct.bits, ct.deltaOffs(fromIdx))
+      var i = 0
+      while (i < deltas.length) { deltas(i) = ExpGolomb.decode(r); i += 1 }
     }
-    out
+    Siar.restore(tStart, deltas, ct.meta.ts)
   }
 
   // --------------------------------------------------------- references
@@ -147,11 +139,26 @@ object Decompressor {
   def refTf(ct: CompressedTraj, slot: Int): Array[Boolean] =
     Compressor.restoreTf(refStoredTf(ct, slot), ct.refs(slot).eLen)
 
-  def refDists(ct: CompressedTraj, slot: Int): Array[Double] = {
-    val rl = ct.refs(slot)
-    val pddpD = ct.meta.pddpD
-    Array.tabulate(ct.n)(i => pddpD.dequantize(ct.bits.readBits(rl.dOff + i * pddpD.bits, pddpD.bits)))
+  /** The n fixed-width D codes of a reference, as stored. */
+  private def refDCodes(ct: CompressedTraj, slot: Int): Array[Long] = {
+    val dOff = ct.refs(slot).dOff
+    val bits = ct.meta.pddpD.bits
+    val out = new Array[Long](ct.n)
+    var i = 0
+    while (i < out.length) { out(i) = ct.bits.readBits(dOff + i * bits, bits); i += 1 }
+    out
   }
+
+  /** Relative distances of D codes under the blob's η_D. */
+  private def dists(ct: CompressedTraj, codes: Array[Long]): Array[Double] = {
+    val pddpD = ct.meta.pddpD
+    val out = new Array[Double](codes.length)
+    var i = 0
+    while (i < out.length) { out(i) = pddpD.dequantize(codes(i)); i += 1 }
+    out
+  }
+
+  def refDists(ct: CompressedTraj, slot: Int): Array[Double] = dists(ct, refDCodes(ct, slot))
 
   /** Random access to one relative distance of a reference — this is what
     * the StIU d.pos field points at.
@@ -193,11 +200,8 @@ object Decompressor {
     val storedRefTf = refStoredTf(ct, slot)
     val tf = Compressor.restoreTf(
       RefFactors.reconstructTf(storedRefTf, nonRefTfCom(ct, k)), edges.length)
-    val pddpD = ct.meta.pddpD
-    val rl = ct.refs(slot)
-    val refCodes = Array.tabulate(ct.n)(i => ct.bits.readBits(rl.dOff + i * pddpD.bits, pddpD.bits))
-    val codes = RefFactors.reconstructD(refCodes, nonRefDFactors(ct, k))
-    Instance(nl.prob, refSv(ct, slot), edges, tf, codes.map(pddpD.dequantize))
+    val codes = RefFactors.reconstructD(refDCodes(ct, slot), nonRefDFactors(ct, k))
+    Instance(nl.prob, refSv(ct, slot), edges, tf, dists(ct, codes))
   }
 
   /** Full decompression: the uncertain trajectory with instances back in

@@ -10,6 +10,12 @@ import scala.collection.mutable
   * probabilistic where / when / range queries answered through the StIU
   * index with partial decompression and the filtering Lemmas 1–4.
   *
+  * One read path serves every query. Times come from [[bracket]]: the
+  * temporal entry at or before the query time, and T̂ decoded from its Δ
+  * offset on. A trajectory's instances are numbered in blob order,
+  * references first, then non-references; [[prob]] reads an instance's
+  * probability from the layout and [[instance]] decodes it whole.
+  *
   * Counters record how often each lemma avoided decompression so tests and
   * benches can verify the filtering actually fires. They are plain `var`s:
   * concurrent queries on one engine (Spark tasks of parallel jobs on a
@@ -33,80 +39,58 @@ final class QueryEngine(
 
   // ------------------------------------------------------------ helpers
 
-  private def decodeInstance(ct: CompressedTraj, slotIdx: Int, isRef: Boolean): Instance = {
+  /** Probability of instance `j` in blob order (references, then
+    * non-references), read from the layout without decoding anything.
+    */
+  private def prob(ct: CompressedTraj, j: Int): Double =
+    if (j < ct.refs.length) ct.refs(j).prob else ct.nonRefs(j - ct.refs.length).prob
+
+  /** Instance `j` in blob order, decoded whole. */
+  private def instance(ct: CompressedTraj, j: Int): Instance = {
     stats.instanceDecompressions += 1
-    if (isRef) Decompressor.refInstance(ct, slotIdx)
-    else Decompressor.nonRefInstance(ct, slotIdx)
+    if (j < ct.refs.length) Decompressor.refInstance(ct, j)
+    else Decompressor.nonRefInstance(ct, j - ct.refs.length)
   }
 
-  /** Decode the time sequence starting from the temporal-index entry
-    * closest below `t` (partial decompression of T̂). Returns the full
-    * timestamp array but only decodes from the entry's Δ offset on when an
-    * entry exists; positions before the entry are decoded only when needed
-    * (t earlier than every entry start ⇒ decode from the beginning).
+  /** Bracketing samples (i, i+1) around `t`, found through the temporal
+    * index: T̂ is decoded from the last entry with t.start ≤ t on (entries
+    * are slot-ordered). Returns the sample index i and the timestamps
+    * t1 ≤ t ≤ t2 of both samples (t2 = t1 when i is the last sample), or
+    * None when t is outside the trajectory's time span or the index holds
+    * no entry for the trajectory.
     */
-  def timesFor(trajId: Long, t: Int): Option[(Array[Int], Int)] = {
-    val ct = store(trajId)
-    val entries = index.temporal.getOrElse(trajId, Vector.empty)
-    if (entries.isEmpty) return Some((Decompressor.times(ct), 0))
-    val below = entries.filter(_.tStart <= t)
-    if (below.isEmpty) None // t precedes the trajectory entirely
-    else {
-      val e = below.maxBy(_.tStart)
-      Some((Decompressor.timesFrom(ct, e.tNo, e.tStart), e.tNo))
+  private def bracket(ct: CompressedTraj, t: Int): Option[(Int, Int, Int)] =
+    index.temporal.getOrElse(ct.id, Vector.empty).takeWhile(_.tStart <= t).lastOption.flatMap { e =>
+      val ts = Decompressor.timesFrom(ct, e.tNo, e.tStart)
+      if (t > ts.last) None
+      else {
+        var k = 0
+        while (k < ts.length - 1 && ts(k + 1) < t) k += 1
+        Some((e.tNo + k, ts(k), ts(math.min(k + 1, ts.length - 1))))
+      }
     }
-  }
-
-  /** Bracketing samples (i, i+1) around `t`: the sample index i in
-    * absolute terms and the timestamps t1 ≤ t ≤ t2 of both samples (t2 = t1
-    * when i is the last sample), or None when t is outside the trajectory's
-    * time span.
-    */
-  private def bracket(trajId: Long, t: Int): Option[(Int, Int, Int)] = {
-    timesFor(trajId, t) match {
-      case None => None
-      case Some((suffix, base)) =>
-        if (t < suffix.head || t > suffix.last) None
-        else {
-          var i = 0
-          while (i < suffix.length - 1 && suffix(i + 1) < t) i += 1
-          Some((base + i, suffix(i), suffix(math.min(i + 1, suffix.length - 1))))
-        }
-    }
-  }
 
   // -------------------------------------------------------------- where
 
   /** Probabilistic where query (Def. 10): mapped locations at time `t` of
     * the instances with probability ≥ α.
     */
-  def where(trajId: Long, t: Int, alpha: Double): Set[(Int, Int, Double)] = {
-    if (!store.contains(trajId)) return Set.empty
-    val ct = store(trajId)
-    bracket(trajId, t) match {
+  def where(trajId: Long, t: Int, alpha: Double): Set[(Int, Int, Double)] =
+    store.get(trajId).flatMap(ct => bracket(ct, t).map((ct, _))) match {
       case None => Set.empty
-      case Some((i, t1, t2)) =>
-        val out = mutable.Set[(Int, Int, Double)]()
-        def handle(inst: Instance): Unit = {
-          val loc = PathOps.resolve(net, inst).between(i, t1, t2, t)
-          out += ((loc.edge.from, loc.edge.to, loc.ndist))
-        }
-        ct.refs.indices.foreach { s =>
-          if (ct.refs(s).prob >= alpha) handle(decodeInstance(ct, s, isRef = true))
-        }
-        ct.nonRefs.indices.foreach { k =>
-          if (ct.nonRefs(k).prob >= alpha) handle(decodeInstance(ct, k, isRef = false))
-        }
-        out.toSet
+      case Some((ct, (i, t1, t2))) =>
+        (0 until ct.numInstances).iterator.filter(prob(ct, _) >= alpha).map { j =>
+          val loc = PathOps.resolve(net, instance(ct, j)).between(i, t1, t2, t)
+          (loc.edge.from, loc.edge.to, loc.ndist)
+        }.toSet
     }
-  }
 
   // --------------------------------------------------------------- when
 
   /** Probabilistic when query (Def. 11): timestamps at which instances with
-    * probability ≥ α pass ⟨(vs→ve), rd⟩. Lemma 1 skips reference groups
-    * whose p_max (and own probability) cannot reach α without decompressing
-    * anything.
+    * probability ≥ α pass ⟨(vs→ve), rd⟩. The cell of the point holds one
+    * tuple per reference group; Lemma 1 skips a group whose p_max (and own
+    * probability) cannot reach α without decompressing anything.
     */
   def when(trajId: Long, vs: Int, ve: Int, rd: Double, alpha: Double): Set[Double] = {
     if (!store.contains(trajId) || net.edgeBetween(vs, ve).isEmpty) return Set.empty
@@ -116,29 +100,18 @@ final class QueryEngine(
     val tuples = index.refTuples.getOrElse((trajId, index.grid.cellOf(x, y)), Vector.empty)
     if (tuples.isEmpty) return Set.empty
     val times = Decompressor.times(ct)
+    def passTimes(j: Int) = GroundTruth.passTimes(net, times, instance(ct, j), vs, ve, rd)
 
     val out = mutable.Set[Double]()
-    val seenGroups = mutable.Set[Int]()
     tuples.foreach { rt =>
-      if (!seenGroups.contains(rt.refSlot)) {
-        seenGroups += rt.refSlot
-        val refProb = ct.refs(rt.refSlot).prob
-        if (refProb < alpha && rt.pMax < alpha) {
-          stats.lemma1Prunes += 1 // whole group skipped, no decompression
-        } else {
-          if (refProb >= alpha && rt.fvId >= 0) {
-            val inst = decodeInstance(ct, rt.refSlot, isRef = true)
-            out ++= GroundTruth.passTimes(net, times, inst, vs, ve, rd)
-          }
-          if (rt.pMax >= alpha) {
-            ct.nonRefs.indices.foreach { k =>
-              val nl = ct.nonRefs(k)
-              if (nl.refSlot == rt.refSlot && nl.prob >= alpha) {
-                val inst = decodeInstance(ct, k, isRef = false)
-                out ++= GroundTruth.passTimes(net, times, inst, vs, ve, rd)
-              }
-            }
-          }
+      val refProb = prob(ct, rt.refSlot)
+      if (refProb < alpha && rt.pMax < alpha) {
+        stats.lemma1Prunes += 1 // whole group skipped, no decompression
+      } else {
+        if (refProb >= alpha && rt.fvId >= 0) out ++= passTimes(rt.refSlot)
+        if (rt.pMax >= alpha) ct.nonRefs.indices.foreach { k =>
+          val j = ct.refs.length + k
+          if (ct.nonRefs(k).refSlot == rt.refSlot && prob(ct, j) >= alpha) out ++= passTimes(j)
         }
       }
     }
@@ -149,19 +122,17 @@ final class QueryEngine(
 
   /** Probabilistic range query (Def. 12) over all indexed trajectories:
     * ids whose instances' probability mass inside RE at `tq` reaches α.
+    * Candidates are the trajectories whose slot span holds `tq`'s slot.
     * Lemma 4 prunes trajectories from index information alone; Lemma 2
     * classifies instances by their bracketing subpath without touching
     * D(·); Lemma 3 accepts early once confirmed mass reaches α.
     */
   def range(re: Rect, tq: Int, alpha: Double): Set[Long] = {
-    val slot = tq / index.slotSeconds
-    val cands = index.bySlot.getOrElse(slot, Vector.empty)
+    val cands = index.bySlot.getOrElse(tq / index.slotSeconds, Vector.empty)
     val cells = index.grid.cellsOf(re)
-    val out = mutable.Set[Long]()
 
-    cands.foreach { trajId =>
+    cands.iterator.filter { trajId =>
       val ct = store(trajId)
-
       // ---- Lemma 4: index-only upper bound on the overlap mass ---------
       var upper = 0.0
       cells.foreach { c =>
@@ -169,43 +140,30 @@ final class QueryEngine(
       }
       if (math.min(1.0, upper) < alpha) {
         stats.lemma4Prunes += 1
-      } else {
-        bracket(trajId, tq) match {
-          case None => ()
-          case Some((i, t1, t2)) =>
-            var confirmed = 0.0
-            var accepted = false
-
-            def classify(inst: Instance): Unit = {
-              if (accepted) return
-              // Subpath between the bracketing mapped locations (Lemma 2).
-              val path = PathOps.resolve(net, inst)
-              val sp = subpathVertices(path, i)
-              val inRe = sp.forall { case (x, y) => re.contains(x, y) }
-              if (inRe) {
-                stats.lemma2Contained += 1
-                confirmed += inst.prob
-              } else if (!subpathIntersects(sp, re)) {
-                stats.lemma2Disjoint += 1
-              } else {
-                stats.exactChecks += 1
-                val (x, y) = GroundTruth.locXY(net, path.between(i, t1, t2, tq))
-                if (re.contains(x, y)) confirmed += inst.prob
-              }
-              if (confirmed >= alpha) { accepted = true; stats.lemma3EarlyAccepts += 1 }
-            }
-
-            ct.refs.indices.foreach { s =>
-              if (!accepted) classify(decodeInstance(ct, s, isRef = true))
-            }
-            ct.nonRefs.indices.foreach { k =>
-              if (!accepted) classify(decodeInstance(ct, k, isRef = false))
-            }
-            if (accepted || confirmed >= alpha) out += trajId
+        false
+      } else bracket(ct, tq).exists { case (i, t1, t2) =>
+        var confirmed = 0.0
+        val accepted = (0 until ct.numInstances).iterator.exists { j =>
+          val inst = instance(ct, j)
+          // Subpath between the bracketing mapped locations (Lemma 2).
+          val path = PathOps.resolve(net, inst)
+          val sp = subpathVertices(path, i)
+          if (sp.forall { case (x, y) => re.contains(x, y) }) {
+            stats.lemma2Contained += 1
+            confirmed += inst.prob
+          } else if (!subpathIntersects(sp, re)) {
+            stats.lemma2Disjoint += 1
+          } else {
+            stats.exactChecks += 1
+            val (x, y) = GroundTruth.locXY(net, path.between(i, t1, t2, tq))
+            if (re.contains(x, y)) confirmed += inst.prob
+          }
+          confirmed >= alpha
         }
+        if (accepted) stats.lemma3EarlyAccepts += 1
+        accepted
       }
-    }
-    out.toSet
+    }.toSet
   }
 
   /** Vertex coordinates of the subpath between the edges of samples i and

@@ -9,10 +9,10 @@ import scala.collection.mutable
   * (StIU, §5.2), built *during compression* from the still-available
   * uncompressed geometry plus the compressed blob's bit offsets.
   *
-  * Temporal part: for each time-partition slot an uncertain trajectory
-  * touches, a tuple (t.start, t.no, t.pos) — earliest timestamp in the
-  * slot, its ordinal, and the bit offset of the next timestamp's Δ code in
-  * T̂, where partial decoding can resume.
+  * Temporal part: for each time-partition slot that holds a sample of an
+  * uncertain trajectory, a tuple (t.start, t.no, t.pos) — earliest
+  * timestamp in the slot, its ordinal, and the bit offset of the next
+  * timestamp's Δ code in T̂, where partial decoding can resume.
   *
   * Spatial part: for each grid cell a reference group (a reference and the
   * non-references encoded against it) traverses, one reference tuple
@@ -47,7 +47,7 @@ object StIU {
       grid: Grid,
       slotSeconds: Int,
       temporal: Map[Long, IndexedSeq[TemporalEntry]],         // per trajectory, slot-ordered
-      bySlot: Map[Int, IndexedSeq[Long]],                     // slot -> trajIds
+      bySlot: Map[Int, IndexedSeq[Long]],                     // slot -> trajIds spanning it
       refTuples: Map[(Long, Int), IndexedSeq[RefTuple]],      // (trajId, cell) -> tuples
   ) {
     /** Index size in bits under fixed-width fields (for the Fig. 9 index
@@ -160,7 +160,10 @@ object StIU {
   }
 
   /** Assemble the full index from per-trajectory pieces ([[buildFor]]'s
-    * triples; the empty third slot is ignored).
+    * triples; the empty third slot is ignored). `bySlot` lists a trajectory
+    * in every slot from its first temporal entry's to its last, also in a
+    * slot a sampling gap leaves without an entry: a range query at a time
+    * inside the gap still interpolates between the bracketing samples.
     */
   def assemble(
       grid: Grid,
@@ -168,13 +171,16 @@ object StIU {
       parts: Seq[(IndexedSeq[TemporalEntry], IndexedSeq[RefTuple], IndexedSeq[NonRefTuple])],
   ): Index = {
     val temporal = parts.flatMap(_._1)
-    val refT = parts.flatMap(_._2)
+    val byTraj = temporal.groupBy(_.trajId).view.mapValues(_.sortBy(_.slot).toVector).toMap
+    val spans = temporal.map(_.trajId).distinct.flatMap { id =>
+      (byTraj(id).head.slot to byTraj(id).last.slot).map(_ -> id)
+    }
     Index(
       grid,
       slotSeconds,
-      temporal.groupBy(_.trajId).view.mapValues(_.sortBy(_.slot).toVector).toMap,
-      temporal.groupBy(_.slot).view.mapValues(_.map(_.trajId).distinct.toVector).toMap,
-      refT.groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
+      byTraj,
+      spans.groupMap(_._1)(_._2).view.mapValues(_.toVector).toMap,
+      parts.flatMap(_._2).groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
     )
   }
 }

@@ -234,12 +234,7 @@ object UtcqSpark {
   /** Convenience bundle for benches and jobs: build network + meta, then
     * generate/compress end-to-end.
     */
-  final case class Pipeline(
-      net: RoadNetwork,
-      meta: DatasetMeta,
-      params: Params,
-      grid: Grid,
-  )
+  final case class Pipeline(net: RoadNetwork, meta: DatasetMeta)
 
   def pipeline(
       netProfile: RoadNetworkGen.NetProfile,
@@ -247,7 +242,6 @@ object UtcqSpark {
       params: Params,
   ): Pipeline = {
     val net = RoadNetworkGen.generate(netProfile)
-    val meta = DatasetMeta.of(net, trajProfile.defaultInterval, params)
-    Pipeline(net, meta, params, Grid.over(net, params.gridCells))
+    Pipeline(net, DatasetMeta.of(net, trajProfile.defaultInterval, params))
   }
 }

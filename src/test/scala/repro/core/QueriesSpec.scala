@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.baseline.{TedCompressor, TedQueryEngine}
 import repro.core.GroundTruth.Rect
 import repro.index.{Grid, StIU}
 import repro.network.RoadNetworkGen
@@ -242,6 +243,40 @@ class QueriesSpec extends SparkSpec {
     val re = Rect(minX - 5000, minY - 5000, minX - 4000, minY - 4000)
     val t = trajs.head
     assert(engine.range(re, t.times.head, 0.1).isEmpty)
+  }
+
+  test("range finds a trajectory in a slot that a sampling gap leaves without a sample") {
+    // Trajectory 3 with its second half two slots later: the slot after its
+    // last early sample holds no sample, yet the trajectory is live there,
+    // interpolated between the samples around the gap.
+    val orig = trajs(3)
+    val h = orig.numSamples / 2
+    val gapped = orig.copy(times = orig.times.indices.map(k =>
+      orig.times(k) + (if (k >= h) 2 * params.slotSeconds else 0)).toArray)
+    val all = trajs.map(t => if (t.id == gapped.id) gapped else t)
+    val store = compressed + (gapped.id -> Compressor.compress(meta, params, gapped).ct)
+    val parts = all.map(t => StIU.buildFor(net, grid, meta, params, t, store(t.id)))
+    val gapEngine = new QueryEngine(net, meta, StIU.assemble(grid, params.slotSeconds, parts), store)
+    val decAll = all.map(t => Decompressor.decompress(meta, store(t.id)))
+    val tedDs = TedCompressor.compress(meta, all)
+    val ted = new TedQueryEngine(net, tedDs, grid, params.slotSeconds)
+    val tedAll = tedDs.trajs.map(TedCompressor.decompressTraj(tedDs, _))
+
+    val slot = gapped.times(h - 1) / params.slotSeconds + 1
+    assert(gapped.times.forall(_ / params.slotSeconds != slot))
+    val tq = slot * params.slotSeconds + params.slotSeconds / 2
+    val dec = decAll.find(_.id == gapped.id).get
+    val (cx, cy) = GroundTruth.locXY(net, GroundTruth.locationAt(net, dec.times, dec.instances.head, tq).get)
+    val (minX, minY, maxX, maxY) = net.boundingBox
+    val whole = Rect(minX - 10, minY - 10, maxX + 10, maxY + 10)
+    assert(GroundTruth.range(net, decAll, whole, tq, 0.5).contains(gapped.id))
+    Seq(whole, Rect(cx - 500, cy - 500, cx + 500, cy + 500)).foreach { re =>
+      Seq(0.2, 0.5, 0.9).foreach { a =>
+        assert(gapEngine.range(re, tq, a) == GroundTruth.range(net, decAll, re, tq, a), s"re=$re alpha=$a")
+        assert(ted.range(re, tq, a) == GroundTruth.range(net, tedAll, re, tq, a), s"TED re=$re alpha=$a")
+      }
+    }
+    assert(gapEngine.where(gapped.id, tq, 0.1) == GroundTruth.where(net, dec, tq, 0.1))
   }
 
   test("Lemmas 2/3/4 fire during range processing") {

@@ -197,8 +197,15 @@ class StIUSpec extends SparkSpec {
     index.refTuples.foreach { case ((id, cell), ts) =>
       ts.foreach(t => assert(t.trajId == id && t.cell == cell))
     }
-    index.bySlot.foreach { case (slot, ids) =>
-      ids.foreach(id => assert(index.temporal(id).exists(_.slot == slot)))
+    // A trajectory is listed in exactly the slots from its first temporal
+    // entry's to its last, whether or not a slot holds one of its samples.
+    assert(index.bySlot.valuesIterator.flatten.forall(index.temporal.contains))
+    val slots = index.bySlot.keySet ++ index.temporal.valuesIterator.flatMap(_.map(_.slot))
+    index.temporal.foreach { case (id, es) =>
+      slots.foreach { s =>
+        assert(index.bySlot.getOrElse(s, Vector.empty).contains(id) == (es.head.slot <= s && s <= es.last.slot),
+          s"traj $id slot $s")
+      }
     }
   }
 }
