@@ -28,8 +28,9 @@ final case class DatasetMeta(
     etaP: Double,
 ) {
   val t0Bits: Int = 17
-  def pddpD: Pddp = Pddp(etaD)
-  def pddpP: Pddp = Pddp(etaP)
+  // Built once per meta, and not serialized: a stored row carries only η.
+  @transient lazy val pddpD: Pddp = Pddp(etaD)
+  @transient lazy val pddpP: Pddp = Pddp(etaP)
 }
 
 object DatasetMeta {

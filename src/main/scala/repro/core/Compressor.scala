@@ -15,11 +15,17 @@ object Compressor {
     * provably 1, §4.1).
     */
   def storedTf(full: Array[Boolean]): Array[Boolean] =
-    if (full.length <= 2) Array.empty else full.slice(1, full.length - 1)
+    if (full.length <= 2) Array.empty else java.util.Arrays.copyOfRange(full, 1, full.length - 1)
 
   def restoreTf(stored: Array[Boolean], eLen: Int): Array[Boolean] =
     if (eLen == 1) Array(true)
-    else (true +: stored.toVector :+ true).toArray
+    else {
+      val full = new Array[Boolean](stored.length + 2)
+      System.arraycopy(stored, 0, full, 1, stored.length)
+      full(0) = true
+      full(full.length - 1) = true
+      full
+    }
 
   /** Width of the blob header's n, N and R fields. */
   val HeaderBits: Int = 16
@@ -97,8 +103,16 @@ object Compressor {
     }
 
     // references
-    val refSlotOf = assignment.refs.zipWithIndex.toMap
-    val dCodesOf: Array[Array[Long]] = insts.map(in => in.dists.map(pddpD.quantize))
+    val refSlotOf = new Array[Int](insts.length)
+    assignment.refs.indices.foreach(s => refSlotOf(assignment.refs(s)) = s)
+    val dCodesOf = new Array[Array[Long]](insts.length)
+    insts.indices.foreach { i =>
+      val ds = insts(i).dists
+      val codes = new Array[Long](ds.length)
+      var j = 0
+      while (j < ds.length) { codes(j) = pddpD.quantize(ds(j)); j += 1 }
+      dCodesOf(i) = codes
+    }
     val origIdxBits = Bits.widthFor(insts.length.toLong) // N is in the header
     assignment.refs.foreach { origIdx =>
       val in = insts(origIdx)
@@ -107,7 +121,11 @@ object Compressor {
       szSv += bitsOf(w.writeBits(in.sv.toLong, meta.svBits))
       szE += bitsOf(in.edges.foreach(no => w.writeBits(no.toLong, meta.symBits)))
       szTf += bitsOf(storedTf(in.tflags).foreach(w.writeBit))
-      szD += bitsOf(dCodesOf(origIdx).foreach(c => w.writeBits(c, pddpD.bits)))
+      szD += bitsOf {
+        val codes = dCodesOf(origIdx)
+        var j = 0
+        while (j < codes.length) { w.writeBits(codes(j), pddpD.bits); j += 1 }
+      }
       szP += bitsOf(pddpP.encode(in.prob, w))
     }
 

@@ -132,8 +132,11 @@ object Decompressor {
   /** Stored T′ of a reference (first/last bits omitted). */
   def refStoredTf(ct: CompressedTraj, slot: Int): Array[Boolean] = {
     val rl = ct.refs(slot)
-    val len = math.max(0, rl.eLen - 2)
-    Array.tabulate(len)(i => ct.bits(rl.tfOff + i))
+    val bits = ct.bits
+    val out = new Array[Boolean](math.max(0, rl.eLen - 2))
+    var i = 0
+    while (i < out.length) { out(i) = bits(rl.tfOff + i); i += 1 }
+    out
   }
 
   def refTf(ct: CompressedTraj, slot: Int): Array[Boolean] =

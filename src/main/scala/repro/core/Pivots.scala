@@ -14,27 +14,31 @@ import scala.util.Random
   */
 object Pivots {
 
-  /** One factor of a pivot representation: a match `(s, l)` in the pivot, or
-    * None for an outgoing edge number that does not occur in the pivot (the
-    * paper omits the factor but still counts it).
+  /** Com_E(instance, pivot): greedy `(S, L)` factorization, one factor per
+    * index. `lens(k) == 0` marks an omitted factor: an outgoing edge number
+    * that does not occur in the pivot. The paper omits it but still counts
+    * it in `h`.
     */
-  type PivotFactor = Option[(Int, Int)]
+  final class PivotCom(val starts: Array[Int], val lens: Array[Int]) {
+    def h: Int = starts.length
 
-  /** Com_E(instance, pivot): greedy `(S, L)` factorization. */
-  final case class PivotCom(factors: IndexedSeq[PivotFactor]) {
-    def h: Int = factors.length
+    /** The factors as `Some((s, l))`, or None where omitted. */
+    def factors: IndexedSeq[Option[(Int, Int)]] =
+      starts.indices.map(k => if (lens(k) == 0) None else Some((starts(k), lens(k))))
   }
 
   /** Greedy `(S, L)` parse of `target` against `pivot` (§4.3 step iii). */
   def represent(pivot: Array[Int], target: Array[Int]): PivotCom = {
-    val out = ArrayBuffer[PivotFactor]()
+    val starts, lens = new Array[Int](target.length) // at most one factor per entry
+    var h = 0
     var i = 0
     while (i < target.length) {
       val (s, l) = RefFactors.longestMatch(pivot, target, i)
-      if (l == 0) { out += None; i += 1 }
-      else { out += Some((s, l)); i += l }
+      if (l == 0) i += 1 // omitted: start 0, length 0
+      else { starts(h) = s; lens(h) = l; i += l }
+      h += 1
     }
-    PivotCom(out.toVector)
+    new PivotCom(java.util.Arrays.copyOf(starts, h), java.util.Arrays.copyOf(lens, h))
   }
 
   /** Select `np` pivots from the instances' edge sequences and return
@@ -77,30 +81,29 @@ object Pivots {
     edgeSeqs.map(e => represent(edgeSeqs(pivotIdx), e))
 
   /** Interval overlap |[s1, s1+l1) ∩ [s2, s2+l2)| of two match factors. */
-  def overlap(f1: (Int, Int), f2: (Int, Int)): Int = {
-    val (s1, l1) = f1
-    val (s2, l2) = f2
+  private def overlap(s1: Int, l1: Int, s2: Int, l2: Int): Int =
     math.max(math.min(s1 + l1, s2 + l2) - math.max(s1, s2), 0)
-  }
 
   /** Eq. 2: similarity of one factor of Com(v) against the whole Com(w).
     * `L_max` is the length of the w-factor achieving the maximum overlap
     * (minimum length among ties, per the paper).
     */
-  def factorSim(vFactor: (Int, Int), wCom: PivotCom): Double = {
+  def factorSim(vFactor: (Int, Int), wCom: PivotCom): Double = factorSim(vFactor._1, vFactor._2, wCom)
+
+  private def factorSim(vs: Int, vl: Int, wCom: PivotCom): Double = {
+    val ws = wCom.starts
+    val wl = wCom.lens
     var bestOverlap = 0
     var lMax = Int.MaxValue
-    wCom.factors.foreach {
-      case Some(wf) =>
-        val o = overlap(wf, vFactor)
-        if (o > bestOverlap || (o == bestOverlap && o > 0 && wf._2 < lMax)) {
-          if (o > bestOverlap) { bestOverlap = o; lMax = wf._2 }
-          else lMax = math.min(lMax, wf._2)
-        }
-      case None => ()
+    var k = 0
+    while (k < ws.length) {
+      val o = overlap(ws(k), wl(k), vs, vl) // 0 for an omitted factor
+      if (o > bestOverlap) { bestOverlap = o; lMax = wl(k) }
+      else if (o == bestOverlap && o > 0 && wl(k) < lMax) lMax = wl(k)
+      k += 1
     }
     if (bestOverlap == 0) 0.0
-    else bestOverlap.toDouble / math.max(lMax, vFactor._2)
+    else bestOverlap.toDouble / math.max(lMax, vl)
   }
 
   /** Eq. 1: FJD(Tuʲ_w → Tuʲ_v, piv) from their pivot representations. */
@@ -109,9 +112,10 @@ object Pivots {
     val hPrime = vCom.h
     if (math.max(h, hPrime) == 0) return 0.0
     var sum = 0.0
-    vCom.factors.foreach {
-      case Some(vf) => sum += factorSim(vf, wCom)
-      case None     => ()
+    var k = 0
+    while (k < hPrime) {
+      if (vCom.lens(k) > 0) sum += factorSim(vCom.starts(k), vCom.lens(k), wCom)
+      k += 1
     }
     sum / math.max(h, hPrime)
   }
@@ -126,16 +130,28 @@ object Pivots {
       comsPerPivot: IndexedSeq[Array[PivotCom]],
   ): Array[Array[Double]] = {
     val n = probs.length
-    Array.tabulate(n, n) { (w, v) =>
-      if (w == v || startVertices(w) != startVertices(v)) 0.0
-      else {
-        var best = 0.0
-        comsPerPivot.foreach { coms =>
-          val d = fjd(coms(w), coms(v))
-          if (d > best) best = d
+    val sm = new Array[Array[Double]](n)
+    var w = 0
+    while (w < n) {
+      val row = new Array[Double](n) // zero where not set below
+      sm(w) = row
+      var v = 0
+      while (v < n) {
+        if (w != v && startVertices(w) == startVertices(v)) {
+          var best = 0.0
+          var p = 0
+          while (p < comsPerPivot.length) {
+            val coms = comsPerPivot(p)
+            val d = fjd(coms(w), coms(v))
+            if (d > best) best = d
+            p += 1
+          }
+          row(v) = probs(w) * best
         }
-        probs(w) * best
+        v += 1
       }
+      w += 1
     }
+    sm
   }
 }

@@ -74,23 +74,64 @@ object StIU {
 
   /** [[cellArrivals]] of an already resolved path. */
   def cellArrivals(net: RoadNetwork, grid: Grid, path: ResolvedPath): IndexedSeq[(Int, Int)] = {
-    val es = path.edges
-    val sv = path.inst.sv
-    val out = mutable.LinkedHashMap[Int, Int]()
-    out(grid.cellOf(net.xs(sv), net.ys(sv))) = -1
-    var j = 0
-    while (j < es.length) {
-      val e = es(j)
-      grid.cellsAlong(net.xs(e.from), net.ys(e.from), net.xs(e.to), net.ys(e.to))
-        .foreach(c => if (!out.contains(c)) out(c) = j)
-      j += 1
+    val a = new Arrivals(net, grid).of(path)
+    a.cells.indices.map(i => (a.cells(i), a.entering(i)))
+  }
+
+  /** Cell sets as bitsets over the grid's cells. */
+  private def has(set: Array[Long], cell: Int): Boolean = (set(cell >>> 6) & (1L << cell)) != 0L
+  private def add(set: Array[Long], cell: Int): Unit = set(cell >>> 6) |= 1L << cell
+
+  /** `f` of every cell in `set`, in ascending order. */
+  private def foreachCell(set: Array[Long])(f: Int => Unit): Unit = {
+    var x = 0
+    while (x < set.length) {
+      var bits = set(x)
+      while (bits != 0L) { f(x * 64 + java.lang.Long.numberOfTrailingZeros(bits)); bits &= bits - 1 }
+      x += 1
     }
-    out.toVector
+  }
+
+  /** The cells of one path in arrival order, and the path-edge ordinal each
+    * is first entered on (−1 for the start vertex's cell).
+    */
+  private final class CellPath(val cells: Array[Int], val entering: Array[Int])
+
+  /** Computes [[cellArrivals]] for the paths of one trajectory. It keeps
+    * [[Grid.cellsAlong]] of every edge it has seen, since the instances of
+    * a trajectory share most of their edges, and one seen-set bitset over
+    * the grid's cells, cleared after each path.
+    */
+  private final class Arrivals(net: RoadNetwork, grid: Grid) {
+    private val along = mutable.LongMap.empty[Array[Int]] // (from, to) -> cells the edge touches
+    private val seen = new Array[Long]((grid.numCells + 63) >>> 6)
+
+    def of(path: ResolvedPath): CellPath = {
+      val cells, entering = mutable.ArrayBuilder.make[Int]
+      def visit(c: Int, j: Int): Unit =
+        if (!has(seen, c)) { add(seen, c); cells += c; entering += j }
+      val sv = path.inst.sv
+      visit(grid.cellOf(net.xs(sv), net.ys(sv)), -1)
+      val es = path.edges
+      var j = 0
+      while (j < es.length) {
+        val e = es(j)
+        val cs = along.getOrElseUpdate((e.from.toLong << 32) | e.to,
+          grid.cellsAlong(net.xs(e.from), net.ys(e.from), net.xs(e.to), net.ys(e.to)))
+        var k = 0
+        while (k < cs.length) { visit(cs(k), j); k += 1 }
+        j += 1
+      }
+      val out = new CellPath(cells.result(), entering.result())
+      out.cells.foreach(c => seen(c >>> 6) = 0L)
+      out
+    }
   }
 
   /** Build the index entries of one compressed trajectory: its temporal
     * entries, its reference tuples, and an always-empty third slot (see
     * [[NonRefTuple]]). `meta` must be the one that wrote `ct` (`ct.meta`).
+    * A reference group's tuples come in ascending cell order.
     */
   def buildFor(
       net: RoadNetwork,
@@ -121,38 +162,58 @@ object StIU {
     // Per reference group (a reference and the non-references encoded
     // against it), one tuple for each cell a member visits. Probabilities
     // are the quantized ones, the only ones the compressed side knows.
+    val arrivals = new Arrivals(net, grid)
+    val words = (grid.numCells + 63) >>> 6
     val refPaths = ct.refs.map(rl => PathOps.resolve(net, traj.instances(rl.origIdx)))
-    val refCells = refPaths.map(cellArrivals(net, grid, _).toMap)
-    val nonRefCells = ct.nonRefs.map(nl => cellArrivals(net, grid, traj.instances(nl.origIdx)).map(_._1).toSet)
+    val nonRefCells = ct.nonRefs.map { nl =>
+      val set = new Array[Long](words)
+      arrivals.of(PathOps.resolve(net, traj.instances(nl.origIdx))).cells.foreach(add(set, _))
+      set
+    }
     val refTuples = mutable.ArrayBuffer[RefTuple]()
+    val refCells, groupCells = new Array[Long](words)
+    val entering = new Array[Int](grid.numCells) // read only where refCells holds the cell
     ct.refs.indices.foreach { refSlot =>
       val rl = ct.refs(refSlot)
       val refPath = refPaths(refSlot)
       val refInst = refPath.inst
-      val entering = refCells(refSlot) // cell -> entering path-edge ordinal
-      val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot)
+      val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot).toArray
+
+      java.util.Arrays.fill(refCells, 0L)
+      val a = arrivals.of(refPath)
+      a.cells.indices.foreach { k => add(refCells, a.cells(k)); entering(a.cells(k)) = a.entering(k) }
+      System.arraycopy(refCells, 0, groupCells, 0, words)
+      nonRefs.foreach(k => (0 until words).foreach(x => groupCells(x) |= nonRefCells(k)(x)))
 
       // ω and entry mapping of the reference for d.no = γ[fv.no].
       val storedRef = Compressor.storedTf(refInst.tflags)
       val omega = Decompressor.flagArray(storedRef)
-      val refVerts = refPath.vertices
 
-      (entering.keySet ++ nonRefs.flatMap(nonRefCells)).foreach { cell =>
-        val nonRefProbs = nonRefs.filter(nonRefCells(_).contains(cell)).map(ct.nonRefs(_).prob)
-        val pMax = if (nonRefProbs.isEmpty) 0.0 else nonRefProbs.max
-        val pTotal = (if (entering.contains(cell)) rl.prob else 0.0) + nonRefProbs.sum
-        refTuples += (entering.get(cell) match {
+      foreachCell(groupCells) { cell =>
+        var pMax, pSum = 0.0
+        nonRefs.foreach { k =>
+          if (has(nonRefCells(k), cell)) {
+            val p = ct.nonRefs(k).prob
+            pSum += p
+            if (p > pMax) pMax = p
+          }
+        }
+        val refHits = has(refCells, cell)
+        val pTotal = (if (refHits) rl.prob else 0.0) + pSum
+        refTuples += {
           // The ∞ case: reference misses the cell, some non-reference hits it.
-          case None => RefTuple(traj.id, cell, refSlot, -1, -1, -1, pTotal, pMax)
+          if (!refHits) RefTuple(traj.id, cell, refSlot, -1, -1, -1, pTotal, pMax)
           // Start cell: the paper stores (SV, 0, 0).
-          case Some(-1) => RefTuple(traj.id, cell, refSlot, refInst.sv, 0, rl.dOff, pTotal, pMax)
-          case Some(edge) =>
-            val fv = refVerts(edge) // from-vertex of the entering edge
+          else if (entering(cell) == -1) RefTuple(traj.id, cell, refSlot, refInst.sv, 0, rl.dOff, pTotal, pMax)
+          else {
+            val edge = entering(cell)
+            val fv = refPath.edges(edge).from // from-vertex of the entering edge
             val fvNo = refPath.edgeEntry(edge)
             val dNo = Decompressor.gammaRef(storedRef, refInst.edges.length, omega, fvNo)
             val dPos = rl.dOff + math.min(dNo, ct.n - 1) * ct.meta.pddpD.bits
             RefTuple(traj.id, cell, refSlot, fv, fvNo, dPos, pTotal, pMax)
-        })
+          }
+        }
       }
     }
 
@@ -160,27 +221,37 @@ object StIU {
   }
 
   /** Assemble the full index from per-trajectory pieces ([[buildFor]]'s
-    * triples; the empty third slot is ignored). `bySlot` lists a trajectory
-    * in every slot from its first temporal entry's to its last, also in a
-    * slot a sampling gap leaves without an entry: a range query at a time
-    * inside the gap still interpolates between the bracketing samples.
+    * triples, one per trajectory; the empty third slot is ignored). `bySlot`
+    * lists a trajectory in every slot from its first temporal entry's to its
+    * last, also in a slot a sampling gap leaves without an entry: a range
+    * query at a time inside the gap still interpolates between the
+    * bracketing samples.
     */
   def assemble(
       grid: Grid,
       slotSeconds: Int,
       parts: Seq[(IndexedSeq[TemporalEntry], IndexedSeq[RefTuple], IndexedSeq[NonRefTuple])],
   ): Index = {
-    val temporal = parts.flatMap(_._1)
-    val byTraj = temporal.groupBy(_.trajId).view.mapValues(_.sortBy(_.slot).toVector).toMap
-    val spans = temporal.map(_.trajId).distinct.flatMap { id =>
-      (byTraj(id).head.slot to byTraj(id).last.slot).map(_ -> id)
+    val temporal = Map.newBuilder[Long, IndexedSeq[TemporalEntry]]
+    val bySlot = mutable.LongMap.empty[mutable.ArrayBuffer[Long]]
+    val refTuples = Map.newBuilder[(Long, Int), IndexedSeq[RefTuple]]
+    parts.foreach { case (entries, tuples, _) =>
+      if (entries.nonEmpty) {
+        val id = entries.head.trajId
+        val bySlotOrder = entries.sortBy(_.slot).toVector
+        temporal += id -> bySlotOrder
+        (bySlotOrder.head.slot to bySlotOrder.last.slot).foreach { s =>
+          bySlot.getOrElseUpdate(s.toLong, mutable.ArrayBuffer[Long]()) += id
+        }
+      }
+      tuples.groupBy(_.cell).foreach { case (cell, ts) => refTuples += (ts.head.trajId, cell) -> ts.toVector }
     }
     Index(
       grid,
       slotSeconds,
-      byTraj,
-      spans.groupMap(_._1)(_._2).view.mapValues(_.toVector).toMap,
-      parts.flatMap(_._2).groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
+      temporal.result(),
+      bySlot.iterator.map { case (s, ids) => s.toInt -> ids.toVector }.toMap,
+      refTuples.result(),
     )
   }
 }

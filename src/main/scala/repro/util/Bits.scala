@@ -1,7 +1,5 @@
 package repro.util
 
-import scala.collection.mutable.ArrayBuffer
-
 /** MSB-first append-only bit stream writer.
   *
   * All compressed artefacts in this repo (reference edge codes, PDDP
@@ -11,32 +9,34 @@ import scala.collection.mutable.ArrayBuffer
   * streams for partial decompression.
   */
 final class BitWriter {
-  private val words = ArrayBuffer[Long]()
+  private var words = new Array[Long](4)
   private var nbits: Int = 0
 
   /** Number of bits written so far (also the offset of the next bit). */
   def length: Int = nbits
 
   /** Append a single bit. */
-  def writeBit(b: Boolean): Unit = {
-    val word = nbits >>> 6
-    if (word >= words.length) words += 0L
-    if (b) words(word) |= (1L << (63 - (nbits & 63)))
-    nbits += 1
-  }
+  def writeBit(b: Boolean): Unit = writeBits(if (b) 1L else 0L, 1)
 
-  /** Append the low `width` bits of `value`, most significant first. */
+  /** Append the low `width` bits of `value`, most significant first: OR
+    * them into the current word and, past its end, the next one.
+    */
   def writeBits(value: Long, width: Int): Unit = {
     require(width >= 0 && width <= 64, s"bad width $width")
     require(width == 64 || (value >>> width) == 0, s"value $value does not fit in $width bits")
-    var i = width - 1
-    while (i >= 0) {
-      writeBit(((value >>> i) & 1L) == 1L)
-      i -= 1
+    if (width == 0) return
+    val word = nbits >>> 6
+    if (word + 1 >= words.length) words = java.util.Arrays.copyOf(words, 2 * words.length)
+    val free = 64 - (nbits & 63) // bits left in the current word
+    if (width <= free) words(word) |= value << (free - width)
+    else {
+      words(word) |= value >>> (width - free)
+      words(word + 1) = value << (64 - (width - free))
     }
+    nbits += width
   }
 
-  def toBitVec: BitVec = new BitVec(words.toArray, nbits)
+  def toBitVec: BitVec = new BitVec(java.util.Arrays.copyOf(words, (nbits + 63) >>> 6), nbits)
 }
 
 /** Immutable bit vector with random access; the storage unit of every
