@@ -62,10 +62,15 @@ final class TedQueryEngine(
     TedCompressor.decompressTraj(ds, t)
   }
 
+  /** Where and when answer nothing for an id the engine does not hold or an
+    * edge the network does not have, as [[repro.core.QueryEngine]] does.
+    */
   def where(trajId: Long, t: Int, alpha: Double): Set[(Int, Int, Double)] =
-    GroundTruth.where(net, decompressedTraj(trajId), t, alpha)
+    if (!byId.contains(trajId)) Set.empty
+    else GroundTruth.where(net, decompressedTraj(trajId), t, alpha)
 
   def when(trajId: Long, vs: Int, ve: Int, rd: Double, alpha: Double): Set[Double] = {
+    if (net.edgeBetween(vs, ve).isEmpty) return Set.empty
     val x = net.xs(vs) + rd * (net.xs(ve) - net.xs(vs))
     val y = net.ys(vs) + rd * (net.ys(ve) - net.ys(vs))
     val cell = grid.cellOf(x, y)

@@ -75,8 +75,8 @@ object Sizes {
 }
 
 /** Bit offsets of one reference instance inside the blob. Derived from the
-  * blob by [[Decompressor.layout]], never stored (the paper's index keeps
-  * the offsets queries need).
+  * blob by [[Decompressor.layout]] and never stored: the StIU keeps no
+  * offsets (the paper's d.pos), so every reader takes them from here.
   */
 final case class RefLayout(
     origIdx: Int,   // instance index in the original trajectory

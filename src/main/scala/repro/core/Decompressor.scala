@@ -5,13 +5,16 @@ import repro.util.{BitReader, Bits}
 
 /** Full and partial decompression of [[CompressedTraj]] blobs (§5.1).
   *
-  * Times can be decoded from an arbitrary Δ offset (the StIU temporal
-  * index's t.pos), and reference components are fixed-width and
-  * random-accessible (ω and γ of a reference give the D offset the StIU
-  * reference tuples store). A non-reference is always decoded whole, from
-  * its reference and its factor lists; the Eq. 4–6 partial decode of a
-  * non-reference's γ is not implemented, because no query path starts
-  * mid-way through a non-reference.
+  * [[layout]] is the one parse of a blob into the bit offset of every
+  * component; with [[Compressor]], the writer, this is the only code that
+  * knows the blob's bit layout. Every partial decode starts at an offset
+  * of that layout: times from any sample's Δ code ([[timesFrom]]), and a
+  * reference's fixed-width components from its own offsets. The StIU
+  * stores no offsets, so §5.1's flag and original arrays (ω, γ), which
+  * only located the paper's d.pos, are not built. A non-reference is
+  * always decoded whole, from its reference and its factor lists; the
+  * Eq. 4–6 partial decode of a non-reference's γ is not implemented,
+  * because no query path starts mid-way through a non-reference.
   *
   * Every decoder reads its widths (symbol, vertex and distance-code widths,
   * Ts) from the blob's own `ct.meta`, the one that wrote it.
@@ -94,9 +97,10 @@ object Decompressor {
   def times(ct: CompressedTraj): Array[Int] =
     timesFrom(ct, 0, ct.bits.readBits(ct.tOff, ct.meta.t0Bits).toInt)
 
-  /** Decode timestamps `fromIdx until ct.n`, starting mid-stream at the Δ
-    * offset the temporal index stored (t.pos); `tStart` is the timestamp at
-    * `fromIdx` (t.start). Cost is proportional to the decoded suffix only.
+  /** Decode timestamps `fromIdx until ct.n`, starting mid-stream at the
+    * layout's offset of sample `fromIdx`'s Δ code (the paper's t.pos);
+    * `tStart` is the timestamp at `fromIdx` (a temporal entry's t.start).
+    * Cost is proportional to the decoded suffix only.
     */
   def timesFrom(ct: CompressedTraj, fromIdx: Int, tStart: Int): Array[Int] = {
     val deltas = new Array[Int](math.max(0, ct.n - 1 - fromIdx))
@@ -124,10 +128,6 @@ object Decompressor {
     }
     out
   }
-
-  /** Random access to one E entry of a reference (fixed-width codes). */
-  def refEdgeEntry(ct: CompressedTraj, slot: Int, entry: Int): Int =
-    ct.bits.readBits(ct.refs(slot).eOff + entry * ct.meta.symBits, ct.meta.symBits).toInt
 
   /** Stored T′ of a reference (first/last bits omitted). */
   def refStoredTf(ct: CompressedTraj, slot: Int): Array[Boolean] = {
@@ -162,14 +162,6 @@ object Decompressor {
   }
 
   def refDists(ct: CompressedTraj, slot: Int): Array[Double] = dists(ct, refDCodes(ct, slot))
-
-  /** Random access to one relative distance of a reference — this is what
-    * the StIU d.pos field points at.
-    */
-  def refDistAt(ct: CompressedTraj, dPos: Int): Double = {
-    val pddpD = ct.meta.pddpD
-    pddpD.dequantize(ct.bits.readBits(dPos, pddpD.bits))
-  }
 
   def refInstance(ct: CompressedTraj, slot: Int): Instance = {
     val rl = ct.refs(slot)
@@ -219,31 +211,5 @@ object Decompressor {
     ct.refs.indices.foreach(s => insts(ct.refs(s).origIdx) = refInstance(ct, s))
     ct.nonRefs.indices.foreach(k => insts(ct.nonRefs(k).origIdx) = nonRefInstance(ct, k))
     UTraj(ct.id, times(ct), meta.ts, insts)
-  }
-
-  // ------------------------------------------- flag / original arrays §5.1
-
-  /** Flag array ω of a reference: ω(g) = number of 1s among the first `g`
-    * bits of the *stored* T′(Ref) (prefix sums; length |T′|+1).
-    */
-  def flagArray(storedRefTf: Array[Boolean]): Array[Int] = {
-    val out = new Array[Int](storedRefTf.length + 1)
-    var i = 0
-    while (i < storedRefTf.length) {
-      out(i + 1) = out(i) + (if (storedRefTf(i)) 1 else 0)
-      i += 1
-    }
-    out
-  }
-
-  /** Original array γ of a reference: γ(g) = number of 1s in the *original*
-    * T′ (with the implicit leading/trailing 1s) up to and including bit `g`.
-    * This equals the number of mapped locations on E entries 0..g.
-    */
-  def gammaRef(storedRefTf: Array[Boolean], eLen: Int, omega: Array[Int], g: Int): Int = {
-    require(g >= 0 && g < eLen)
-    if (eLen == 1) 1
-    else if (g == eLen - 1) omega(storedRefTf.length) + 2
-    else 1 + omega(g) // leading implicit 1 + stored ones in [0, g)
   }
 }

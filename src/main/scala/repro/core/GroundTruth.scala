@@ -46,11 +46,13 @@ object GroundTruth {
         val d = before + rd * e.length
         // Interpolate time at path distance d between bracketing samples.
         if (d >= offs.head - 1e-9 && d <= offs.last + 1e-9) {
+          // A single sample (j = i = 0) passes the point at times(0).
           var i = 0
           while (i < offs.length - 1 && offs(i + 1) < d - 1e-9) i += 1
-          val span = offs(i + 1) - offs(i)
+          val j = math.min(i + 1, offs.length - 1)
+          val span = offs(j) - offs(i)
           val frac = if (span <= 1e-12) 0.0 else (d - offs(i)) / span
-          out += times(i) + frac * (times(i + 1) - times(i))
+          out += times(i) + frac * (times(j) - times(i))
         }
       }
       before += e.length

@@ -7,31 +7,36 @@ import scala.collection.mutable
 
 /** The Spatio-temporal Information based Uncertain Trajectory Index
   * (StIU, §5.2), built *during compression* from the still-available
-  * uncompressed geometry plus the compressed blob's bit offsets.
+  * uncompressed geometry and the compressed blob's reference groups.
   *
   * Temporal part: for each time-partition slot that holds a sample of an
-  * uncertain trajectory, a tuple (t.start, t.no, t.pos) — earliest
-  * timestamp in the slot, its ordinal, and the bit offset of the next
-  * timestamp's Δ code in T̂, where partial decoding can resume.
+  * uncertain trajectory, a tuple (t.start, t.no) — earliest timestamp in
+  * the slot and its ordinal. Decoding T̂ from t.no on starts at the Δ
+  * offset the blob's own layout gives ([[Decompressor.timesFrom]]).
   *
   * Spatial part: for each grid cell a reference group (a reference and the
   * non-references encoded against it) traverses, one reference tuple
-  * (fv.id, fv.no, d.pos, p_total, p_max). fv.id = −1 encodes the paper's ∞
-  * case: the reference itself misses the cell but a non-reference of its
-  * group passes it.
+  * (fv.id, fv.no, p_total, p_max). fv.id = −1 encodes the paper's ∞ case:
+  * the reference itself misses the cell but a non-reference of its group
+  * passes it.
   *
-  * Deviation from §5.2: non-references get no (rv.id, rv.no, ma.pos)
-  * tuples of their own. The query processor decodes whole instances and
-  * reaches a non-reference only through its group's reference tuples
-  * (p_total, p_max and the ∞ tuples), so such tuples would have no reader.
+  * Deviations from §5.2:
+  *  - No bit offsets: the paper's t.pos and d.pos are not stored. Every
+  *    read path takes its offsets from the blob's layout
+  *    ([[CompressedTraj.layout]]), so only [[Compressor]] and
+  *    [[Decompressor]] know the blob's bit layout.
+  *  - Non-references get no (rv.id, rv.no, ma.pos) tuples of their own.
+  *    The query processor decodes whole instances and reaches a
+  *    non-reference only through its group's reference tuples (p_total,
+  *    p_max and the ∞ tuples), so such tuples would have no reader.
   */
 object StIU {
 
-  final case class TemporalEntry(trajId: Long, slot: Int, tStart: Int, tNo: Int, tPos: Int)
+  final case class TemporalEntry(trajId: Long, slot: Int, tStart: Int, tNo: Int)
 
   final case class RefTuple(
       trajId: Long, cell: Int, refSlot: Int,
-      fvId: Int, fvNo: Int, dPos: Int,
+      fvId: Int, fvNo: Int,
       pTotal: Double, pMax: Double)
 
   /** The §5.2 non-reference tuple. Nothing builds it: [[buildFor]]'s third
@@ -51,14 +56,15 @@ object StIU {
       refTuples: Map[(Long, Int), IndexedSeq[RefTuple]],      // (trajId, cell) -> tuples
   ) {
     /** Index size in bits under fixed-width fields (for the Fig. 9 index
-      * size metric): temporal = id 32 + slot 16 + t.start 17 + t.no 12 +
-      * t.pos 32; ref tuple = id 32 + cell 16 + slot 8 + fv.id 32 + fv.no 16
-      * + d.pos 32 + 2 probabilities à 16. There are no non-reference tuples
-      * to count.
+      * size metric): temporal = id 32 + slot 16 + t.start 17 + t.no; ref
+      * tuple = id 32 + cell 16 + ref slot + fv.id 32 + fv.no 16 + 2
+      * probabilities à 16. t.no < n and the ref slot < R, so both take the
+      * blob header's [[Compressor.HeaderBits]]. There are no non-reference
+      * tuples to count.
       */
     def sizeBits: Long = {
-      val t = temporal.valuesIterator.map(_.size).sum.toLong * (32 + 16 + 17 + 12 + 32)
-      val r = refTuples.valuesIterator.map(_.size).sum.toLong * (32 + 16 + 8 + 32 + 16 + 32 + 32)
+      val t = temporal.valuesIterator.map(_.size).sum.toLong * (32 + 16 + 17 + Compressor.HeaderBits)
+      val r = refTuples.valuesIterator.map(_.size).sum.toLong * (32 + 16 + Compressor.HeaderBits + 32 + 16 + 32)
       t + r
     }
   }
@@ -151,8 +157,7 @@ object StIU {
     while (i < traj.times.length) {
       val slot = traj.times(i) / slotSec
       if (slot != lastSlot) {
-        val tPos = if (i < ct.n - 1) ct.deltaOffs(i) else -1
-        temporal += TemporalEntry(traj.id, slot, traj.times(i), i, tPos)
+        temporal += TemporalEntry(traj.id, slot, traj.times(i), i)
         lastSlot = slot
       }
       i += 1
@@ -176,7 +181,6 @@ object StIU {
     ct.refs.indices.foreach { refSlot =>
       val rl = ct.refs(refSlot)
       val refPath = refPaths(refSlot)
-      val refInst = refPath.inst
       val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot).toArray
 
       java.util.Arrays.fill(refCells, 0L)
@@ -184,10 +188,6 @@ object StIU {
       a.cells.indices.foreach { k => add(refCells, a.cells(k)); entering(a.cells(k)) = a.entering(k) }
       System.arraycopy(refCells, 0, groupCells, 0, words)
       nonRefs.foreach(k => (0 until words).foreach(x => groupCells(x) |= nonRefCells(k)(x)))
-
-      // ω and entry mapping of the reference for d.no = γ[fv.no].
-      val storedRef = Compressor.storedTf(refInst.tflags)
-      val omega = Decompressor.flagArray(storedRef)
 
       foreachCell(groupCells) { cell =>
         var pMax, pSum = 0.0
@@ -202,16 +202,13 @@ object StIU {
         val pTotal = (if (refHits) rl.prob else 0.0) + pSum
         refTuples += {
           // The ∞ case: reference misses the cell, some non-reference hits it.
-          if (!refHits) RefTuple(traj.id, cell, refSlot, -1, -1, -1, pTotal, pMax)
-          // Start cell: the paper stores (SV, 0, 0).
-          else if (entering(cell) == -1) RefTuple(traj.id, cell, refSlot, refInst.sv, 0, rl.dOff, pTotal, pMax)
+          if (!refHits) RefTuple(traj.id, cell, refSlot, -1, -1, pTotal, pMax)
+          // Start cell: the paper stores (SV, 0).
+          else if (entering(cell) == -1) RefTuple(traj.id, cell, refSlot, refPath.inst.sv, 0, pTotal, pMax)
           else {
+            // From-vertex of the entering edge, and its E entry.
             val edge = entering(cell)
-            val fv = refPath.edges(edge).from // from-vertex of the entering edge
-            val fvNo = refPath.edgeEntry(edge)
-            val dNo = Decompressor.gammaRef(storedRef, refInst.edges.length, omega, fvNo)
-            val dPos = rl.dOff + math.min(dNo, ct.n - 1) * ct.meta.pddpD.bits
-            RefTuple(traj.id, cell, refSlot, fv, fvNo, dPos, pTotal, pMax)
+            RefTuple(traj.id, cell, refSlot, refPath.edges(edge).from, refPath.edgeEntry(edge), pTotal, pMax)
           }
         }
       }

@@ -40,8 +40,11 @@ final class RoadNetwork(
     es(no - 1)
   }
 
-  /** The outgoing edge number of (from -> to), or -1 if absent. */
+  /** The outgoing edge number of (from -> to), or -1 if absent (also when
+    * `from` is no vertex of the network).
+    */
   def outNoOf(from: Int, to: Int): Int = {
+    if (from < 0 || from >= numVertices) return -1
     val es = outEdges(from)
     var i = 0
     while (i < es.length) { if (es(i).to == to) return es(i).outNo; i += 1 }

@@ -128,6 +128,20 @@ class TedSpec extends SparkSpec {
     }
   }
 
+  test("TED where and when answer nothing for an id or a vertex they do not hold") {
+    val engine = new TedQueryEngine(net, ds, Grid.over(net, 16), params.slotSeconds)
+    val known = ds.trajs.head
+    val missing = ds.trajs.map(_.id).max + 1
+    val t = TedCompressor.restoreTimes(known.timePairs, known.numSamples).head
+    assert(engine.where(missing, t, 0.0).isEmpty)
+    val e = net.outEdges.find(_.nonEmpty).get.head
+    assert(engine.when(missing, e.from, e.to, 0.5, 0.0).isEmpty)
+    Seq(-1, net.numVertices).foreach { vs =>
+      assert(engine.when(known.id, vs, e.to, 0.5, 0.0).isEmpty, s"vs = $vs")
+      assert(engine.when(known.id, e.from, vs, 0.5, 0.0).isEmpty, s"ve = $vs")
+    }
+  }
+
   test("TED when agrees with ground truth at random points of every path, also in cells an edge only clips") {
     // With a 32×32 grid some edges cross a cell without ending or having
     // their midpoint in it; a pass there must still be found.

@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.core.GroundTruth.Rect
 import repro.index.{Grid, StIU}
 import repro.network.RoadNetworkGen
-import repro.traj.{Instance, UTraj, UncertainTrajGen}
+import repro.traj.{Instance, MappedLoc, UTraj, UncertainTrajGen}
 
 /** Boundary conditions for the compressor, index, and query engine. */
 class EdgeCasesSpec extends SparkSpec {
@@ -29,6 +29,38 @@ class EdgeCasesSpec extends SparkSpec {
     assert(back.instances.length == 2)
     assert(back.instances(0).edges.toSeq == tiny.instances(0).edges.toSeq)
     assert(back.times.toSeq == Seq(100, 110))
+  }
+
+  test("a one-sample trajectory answers where, when and range like ground truth") {
+    val e = UncertainTrajGen.randomWalk(net, new scala.util.Random(5), 1).head
+    def inst(p: Double, rd: Double) = Instance(p, e.from, Array(e.outNo), Array(true), Array(rd))
+    val one = UTraj(81L, Array(100), 10, Array(inst(0.6, 0.25), inst(0.4, 0.75)))
+    val ct = Compressor.compress(meta, params, one).ct
+    val grid = Grid.over(net, 16)
+    val index = StIU.assemble(grid, params.slotSeconds, Seq(StIU.buildFor(net, grid, meta, params, one, ct)))
+    val engine = new QueryEngine(net, meta, index, Map(one.id -> ct))
+    val dec = Decompressor.decompress(meta, ct)
+    Seq(99, 100, 101).foreach { t =>
+      Seq(0.0, 0.5, 1.0).foreach { alpha =>
+        assert(engine.where(one.id, t, alpha) == GroundTruth.where(net, dec, t, alpha), s"where t=$t α=$alpha")
+      }
+    }
+    dec.instances.foreach { in =>
+      val rd = in.dists(0)
+      Seq(0.0, 0.5).foreach { alpha =>
+        assert(engine.when(one.id, e.from, e.to, rd, alpha) == GroundTruth.when(net, dec, e.from, e.to, rd, alpha))
+      }
+      assert(engine.when(one.id, e.from, e.to, rd, 0.0) == Set(100.0))
+    }
+    val (x, y) = GroundTruth.locXY(net, MappedLoc(e, dec.instances(0).dists(0)))
+    val re = Rect(x - 1, y - 1, x + 1, y + 1)
+    // α > 0: at α = 0 ground truth admits a trajectory at any time.
+    Seq(99, 100, 101).foreach { t =>
+      Seq(0.5, 1.0).foreach { alpha =>
+        assert(engine.range(re, t, alpha) == GroundTruth.range(net, Seq(dec), re, t, alpha), s"range t=$t α=$alpha")
+      }
+    }
+    assert(engine.range(re, 100, 0.5) == Set(one.id))
   }
 
   test("instances with identical E but different D stay distinct after compression") {
@@ -101,6 +133,11 @@ class EdgeCasesSpec extends SparkSpec {
     val parts = trajs.map(t => StIU.buildFor(net, grid, meta, params, t, cts(t.id)))
     val engine = new QueryEngine(net, meta, StIU.assemble(grid, params.slotSeconds, parts), cts)
     assert(engine.when(trajs.head.id, 0, 0, 0.5, 0.0).isEmpty)
+    // A start vertex outside the network, as GroundTruth answers it.
+    Seq(-1, net.numVertices).foreach { vs =>
+      assert(engine.when(trajs.head.id, vs, 0, 0.5, 0.0).isEmpty, s"vs = $vs")
+      assert(GroundTruth.when(net, trajs.head, vs, 0, 0.5, 0.0).isEmpty, s"vs = $vs")
+    }
   }
 
   test("compressor rejects instances whose first or last edge lacks a sample") {

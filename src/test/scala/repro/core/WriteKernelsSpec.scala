@@ -366,8 +366,7 @@ object ReferenceKernels {
     while (i < traj.times.length) {
       val slot = traj.times(i) / slotSec
       if (slot != lastSlot) {
-        val tPos = if (i < ct.n - 1) ct.deltaOffs(i) else -1
-        temporal += TemporalEntry(traj.id, slot, traj.times(i), i, tPos)
+        temporal += TemporalEntry(traj.id, slot, traj.times(i), i)
         lastSlot = slot
       }
       i += 1
@@ -383,9 +382,6 @@ object ReferenceKernels {
       val refInst = refPath.inst
       val entering = refCells(refSlot)
       val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot)
-
-      val storedRef = Compressor.storedTf(refInst.tflags)
-      val omega = Decompressor.flagArray(storedRef)
       val refVerts = refPath.vertices
 
       (entering.keySet ++ nonRefs.flatMap(nonRefCells)).foreach { cell =>
@@ -393,14 +389,12 @@ object ReferenceKernels {
         val pMax = if (nonRefProbs.isEmpty) 0.0 else nonRefProbs.max
         val pTotal = (if (entering.contains(cell)) rl.prob else 0.0) + nonRefProbs.sum
         refTuples += (entering.get(cell) match {
-          case None => RefTuple(traj.id, cell, refSlot, -1, -1, -1, pTotal, pMax)
-          case Some(-1) => RefTuple(traj.id, cell, refSlot, refInst.sv, 0, rl.dOff, pTotal, pMax)
+          case None => RefTuple(traj.id, cell, refSlot, -1, -1, pTotal, pMax)
+          case Some(-1) => RefTuple(traj.id, cell, refSlot, refInst.sv, 0, pTotal, pMax)
           case Some(edge) =>
             val fv = refVerts(edge)
             val fvNo = refPath.edgeEntry(edge)
-            val dNo = Decompressor.gammaRef(storedRef, refInst.edges.length, omega, fvNo)
-            val dPos = rl.dOff + math.min(dNo, ct.n - 1) * ct.meta.pddpD.bits
-            RefTuple(traj.id, cell, refSlot, fv, fvNo, dPos, pTotal, pMax)
+            RefTuple(traj.id, cell, refSlot, fv, fvNo, pTotal, pMax)
         })
       }
     }
