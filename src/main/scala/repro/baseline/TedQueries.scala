@@ -82,8 +82,8 @@ final class TedQueryEngine(
     val cands = bySlot.getOrElse(tq / slotSeconds, Vector.empty)
     val cells = grid.cellsOf(re).toSet
     cands.filter { id =>
-      val touches = cells.exists(c => cellIndex.contains((id, c)))
-      touches && GroundTruth.overlapProb(net, decompressedTraj(id), re, tq) >= alpha
+      val touches = cells.exists(c => cellIndex.contains((id, c))) // else its mass in RE is 0 (Lemma 4)
+      (touches || alpha <= 0) && GroundTruth.inRange(net, decompressedTraj(id), re, tq, alpha)
     }.toSet
   }
 }

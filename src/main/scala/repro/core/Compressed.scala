@@ -108,27 +108,28 @@ final case class NonRefLayout(
     comEFactorSpans: Array[Int], // start entry (in E(nonref)) of each factor
 )
 
-/** Where every component of a blob starts: the result of one sequential
-  * parse of the self-delimiting blob.
+/** Where every component of a blob starts, and how many bits each
+  * component takes: the result of one sequential parse of the
+  * self-delimiting blob.
   */
 final case class Layout(
     tOff: Int,                   // offset of t0
     deltaOffs: Array[Int],       // offset of each Δ code (length n−1)
     refs: Array[RefLayout],
     nonRefs: Array[NonRefLayout],
+    sizes: Sizes,                // bits per component; total = blobBits
 )
 
 /** A compressed uncertain trajectory: one self-delimiting bit blob and the
   * [[DatasetMeta]] whose widths wrote it, so that a stored row decodes by
-  * itself. `sizes` records the per-component bit accounting. The layout is
-  * derived from the blob on first use and is not serialized.
+  * itself. Everything else (the layout and the per-component bit counts)
+  * is derived from the blob on first use and is not serialized.
   */
 final case class CompressedTraj(
     id: Long,
     n: Int, // number of samples
     blob: Array[Byte],
     blobBits: Int,
-    sizes: Sizes,
     meta: DatasetMeta,
 ) {
   @transient lazy val bits: BitVec = BitVec.fromBytes(blob, blobBits)
@@ -138,6 +139,7 @@ final case class CompressedTraj(
   def deltaOffs: Array[Int] = layout.deltaOffs
   def refs: Array[RefLayout] = layout.refs
   def nonRefs: Array[NonRefLayout] = layout.nonRefs
+  def sizes: Sizes = layout.sizes
   def numInstances: Int = refs.length + nonRefs.length
 
   /** Fails with an `IllegalArgumentException` naming the trajectory unless

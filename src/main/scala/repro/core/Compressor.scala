@@ -8,6 +8,8 @@ import scala.util.Random
   * selection → referential representation → binary encoding, for one
   * uncertain trajectory. Pure Scala; the Spark job maps it over partitioned
   * trajectory data.
+  * It writes the blob only: the Table 8 bit accounting
+  * ([[CompressedTraj.sizes]]) comes from its parse, [[Decompressor.layout]].
   */
 object Compressor {
 
@@ -83,24 +85,16 @@ object Compressor {
     val pddpD = meta.pddpD
     val pddpP = meta.pddpP
     val w = new BitWriter
-    /** Bits that `write` appends to the blob. */
-    def bitsOf(write: => Unit): Long = { val before = w.length; write; (w.length - before).toLong }
-    var szT = 0L; var szE = 0L; var szD = 0L; var szTf = 0L; var szP = 0L
-    var szSv = 0L; var szOv = 0L
 
     // header: n, N, R
-    szOv += bitsOf {
-      w.writeBits(n.toLong, HeaderBits)
-      w.writeBits(insts.length.toLong, HeaderBits)
-      w.writeBits(assignment.refs.length.toLong, HeaderBits)
-    }
+    w.writeBits(n.toLong, HeaderBits)
+    w.writeBits(insts.length.toLong, HeaderBits)
+    w.writeBits(assignment.refs.length.toLong, HeaderBits)
 
     // T̂(Tuʲ): SIAR + improved Exp-Golomb
     val (t0, deltas) = Siar.represent(traj.times, meta.ts)
-    szT += bitsOf {
-      w.writeBits(t0.toLong, meta.t0Bits)
-      deltas.foreach(ExpGolomb.encode(_, w))
-    }
+    w.writeBits(t0.toLong, meta.t0Bits)
+    deltas.foreach(ExpGolomb.encode(_, w))
 
     // references
     val refSlotOf = new Array[Int](insts.length)
@@ -116,17 +110,15 @@ object Compressor {
     val origIdxBits = Bits.widthFor(insts.length.toLong) // N is in the header
     assignment.refs.foreach { origIdx =>
       val in = insts(origIdx)
-      szOv += bitsOf(w.writeBits(origIdx.toLong, origIdxBits))
-      szE += bitsOf(ExpGolomb.encodeUnsigned(in.edges.length, w))
-      szSv += bitsOf(w.writeBits(in.sv.toLong, meta.svBits))
-      szE += bitsOf(in.edges.foreach(no => w.writeBits(no.toLong, meta.symBits)))
-      szTf += bitsOf(storedTf(in.tflags).foreach(w.writeBit))
-      szD += bitsOf {
-        val codes = dCodesOf(origIdx)
-        var j = 0
-        while (j < codes.length) { w.writeBits(codes(j), pddpD.bits); j += 1 }
-      }
-      szP += bitsOf(pddpP.encode(in.prob, w))
+      w.writeBits(origIdx.toLong, origIdxBits)
+      ExpGolomb.encodeUnsigned(in.edges.length, w)
+      w.writeBits(in.sv.toLong, meta.svBits)
+      in.edges.foreach(no => w.writeBits(no.toLong, meta.symBits))
+      storedTf(in.tflags).foreach(w.writeBit)
+      val codes = dCodesOf(origIdx)
+      var j = 0
+      while (j < codes.length) { w.writeBits(codes(j), pddpD.bits); j += 1 }
+      pddpP.encode(in.prob, w)
     }
 
     // non-references (in original-index order for determinism)
@@ -135,24 +127,19 @@ object Compressor {
       val in = insts(origIdx)
       val refIdx = assignment.refOf(origIdx)
       val refInst = insts(refIdx)
-      szOv += bitsOf {
-        w.writeBits(origIdx.toLong, origIdxBits)
-        w.writeBits(refSlotOf(refIdx).toLong, refSlotBits)
-      }
-      szP += bitsOf(pddpP.encode(in.prob, w))
-      szE += bitsOf(RefFactors.encodeE(RefFactors.factorizeE(refInst.edges, in.edges),
-        RefFactors.ELayout(refInst.edges.length, meta.symBits), w))
-      szTf += bitsOf(RefFactors.encodeTf(RefFactors.factorizeTf(storedTf(refInst.tflags), storedTf(in.tflags)),
-        RefFactors.TfLayout(math.max(0, refInst.edges.length - 2)), w))
-      szD += bitsOf(RefFactors.encodeD(RefFactors.factorizeD(dCodesOf(refIdx), dCodesOf(origIdx)),
-        RefFactors.DLayout(n, pddpD.bits), w))
+      w.writeBits(origIdx.toLong, origIdxBits)
+      w.writeBits(refSlotOf(refIdx).toLong, refSlotBits)
+      pddpP.encode(in.prob, w)
+      RefFactors.encodeE(RefFactors.factorizeE(refInst.edges, in.edges),
+        RefFactors.ELayout(refInst.edges.length, meta.symBits), w)
+      RefFactors.encodeTf(RefFactors.factorizeTf(storedTf(refInst.tflags), storedTf(in.tflags)),
+        RefFactors.TfLayout(math.max(0, refInst.edges.length - 2)), w)
+      RefFactors.encodeD(RefFactors.factorizeD(dCodesOf(refIdx), dCodesOf(origIdx)),
+        RefFactors.DLayout(n, pddpD.bits), w)
     }
 
     val vec = w.toBitVec
-    val sizes = Sizes(szT, szE, szD, szTf, szP, szSv, szOv)
-    require(sizes.total == vec.length.toLong,
-      s"size accounting mismatch: ${sizes.total} vs ${vec.length}")
-    val ct = CompressedTraj(traj.id, n, vec.toBytes, vec.length, sizes, meta)
+    val ct = CompressedTraj(traj.id, n, vec.toBytes, vec.length, meta)
     Result(ct, assignment)
   }
 }

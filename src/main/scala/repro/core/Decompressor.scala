@@ -6,8 +6,9 @@ import repro.util.{BitReader, Bits}
 /** Full and partial decompression of [[CompressedTraj]] blobs (§5.1).
   *
   * [[layout]] is the one parse of a blob into the bit offset of every
-  * component; with [[Compressor]], the writer, this is the only code that
-  * knows the blob's bit layout. Every partial decode starts at an offset
+  * component and the bits each component takes (the Table 8 accounting);
+  * with [[Compressor]], the writer, this is the only code that knows the
+  * blob's bit layout. Every partial decode starts at an offset
   * of that layout: times from any sample's Δ code ([[timesFrom]]), and a
   * reference's fixed-width components from its own offsets. The StIU
   * stores no offsets, so §5.1's flag and original arrays (ω, γ), which
@@ -24,8 +25,9 @@ object Decompressor {
   // ------------------------------------------------------------- layout
 
   /** One sequential parse of `ct`'s blob, with the decoders below, into the
-    * bit offset of every component. Fails with an `IllegalArgumentException`
-    * naming the trajectory unless the parse ends exactly at `blobBits`.
+    * bit offset and the bit count ([[Sizes]]) of every component. Fails
+    * with an `IllegalArgumentException` naming the trajectory unless the
+    * parse ends exactly at `blobBits` and every index it reads is in range.
     */
   def layout(ct: CompressedTraj): Layout =
     try parseLayout(ct)
@@ -42,23 +44,30 @@ object Decompressor {
     val n = r.readBits(Compressor.HeaderBits).toInt
     val numInsts = r.readBits(Compressor.HeaderBits).toInt
     val numRefs = r.readBits(Compressor.HeaderBits).toInt
-    require(n == ct.n && numRefs <= numInsts, s"header n=$n, N=$numInsts, R=$numRefs")
+    require(n == ct.n && 0 < numRefs && numRefs <= numInsts, s"header n=$n, N=$numInsts, R=$numRefs")
 
     val tOff = r.pos
     r.readBits(meta.t0Bits)
     val deltaOffs = Array.fill(n - 1) { val at = r.pos; ExpGolomb.decode(r); at }
+    val tBits = r.pos - tOff
 
     val origIdxBits = Bits.widthFor(numInsts.toLong)
+    var eBits, tfBits, dBits = 0L
     val refs = Array.fill(numRefs) {
       val origIdx = r.readBits(origIdxBits).toInt
+      val eLenOff = r.pos
       val eLen = ExpGolomb.decodeUnsigned(r)
       val svOff = r.pos
       val eOff = svOff + meta.svBits
-      val tfOff = eOff + eLen * meta.symBits
+      val tfOff = eOff + eLen.toLong * meta.symBits
       val dOff = tfOff + math.max(0, eLen - 2)
-      val pOff = dOff + n * pddpD.bits
-      r.seek(pOff)
-      RefLayout(origIdx, eLen, svOff, eOff, tfOff, dOff, pOff, pddpP.decode(r))
+      val pOff = dOff + n.toLong * pddpD.bits
+      require(pOff <= ct.blobBits, s"reference of $eLen entries ends past the blob")
+      r.seek(pOff.toInt)
+      eBits += svOff - eLenOff + tfOff - eOff
+      tfBits += dOff - tfOff
+      dBits += pOff - dOff
+      RefLayout(origIdx, eLen, svOff, eOff, tfOff.toInt, dOff.toInt, pOff.toInt, pddpP.decode(r))
     }
 
     def entries(f: RefFactors.EFactor): Int = f match {
@@ -81,12 +90,20 @@ object Decompressor {
       RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), r)
       val comDOff = r.pos
       RefFactors.decodeD(RefFactors.DLayout(n, pddpD.bits), r)
+      eBits += comTfOff - comEOff
+      tfBits += comDOff - comTfOff
+      dBits += r.pos - comDOff
       NonRefLayout(origIdx, refSlot, pOff, comEOff, comTfOff, comDOff, prob,
         factorOffs.result(), eFactors.scanLeft(0)(_ + entries(_)).init.toArray)
     }
 
     require(r.pos == ct.blobBits, s"the parse ends at bit ${r.pos}")
-    Layout(tOff, deltaOffs, refs, nonRefs)
+    val order = (refs.map(_.origIdx) ++ nonRefs.map(_.origIdx)).sorted
+    require(order.indices.forall(i => order(i) == i), "the instance indices are not a permutation of 0..N−1")
+    val sizes = Sizes(t = tBits, e = eBits, d = dBits, tf = tfBits,
+      p = numInsts.toLong * pddpP.bits, sv = numRefs.toLong * meta.svBits,
+      overhead = 3L * Compressor.HeaderBits + numInsts.toLong * origIdxBits + (numInsts - numRefs).toLong * refSlotBits)
+    Layout(tOff, deltaOffs, refs, nonRefs, sizes)
   }
 
   // -------------------------------------------------------------- times
@@ -165,8 +182,15 @@ object Decompressor {
 
   def refInstance(ct: CompressedTraj, slot: Int): Instance = {
     val rl = ct.refs(slot)
-    Instance(rl.prob, refSv(ct, slot), refEdges(ct, slot), refTf(ct, slot), refDists(ct, slot))
+    named(ct)(Instance(rl.prob, refSv(ct, slot), refEdges(ct, slot), refTf(ct, slot), refDists(ct, slot)))
   }
+
+  /** `in`, with the `IllegalArgumentException` of an instance whose decoded
+    * E, T′ and D do not align (a corrupt blob) naming the trajectory.
+    */
+  private def named(ct: CompressedTraj)(in: => Instance): Instance =
+    try in
+    catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"trajectory ${ct.id}: ${e.getMessage}", e) }
 
   // ----------------------------------------------------- non-references
 
@@ -196,7 +220,7 @@ object Decompressor {
     val tf = Compressor.restoreTf(
       RefFactors.reconstructTf(storedRefTf, nonRefTfCom(ct, k)), edges.length)
     val codes = RefFactors.reconstructD(refDCodes(ct, slot), nonRefDFactors(ct, k))
-    Instance(nl.prob, refSv(ct, slot), edges, tf, dists(ct, codes))
+    named(ct)(Instance(nl.prob, refSv(ct, slot), edges, tf, dists(ct, codes)))
   }
 
   /** Full decompression: the uncertain trajectory with instances back in

@@ -70,7 +70,7 @@ object ExpGolomb {
   // ------------------------------------------------------------------
 
   def encodeUnsigned(x: Int, w: BitWriter): Unit = {
-    require(x >= 0)
+    require(x >= 0 && x < Int.MaxValue, s"Exp-Golomb count $x outside [0, ${Int.MaxValue})")
     val v = x + 1L
     val len = 64 - java.lang.Long.numberOfLeadingZeros(v)
     var i = 0
@@ -81,6 +81,7 @@ object ExpGolomb {
   def decodeUnsigned(r: BitReader): Int = {
     var zeros = 0
     while (!r.readBit()) zeros += 1
+    require(zeros <= 30, s"Exp-Golomb prefix of $zeros zeros beyond the code's 30")
     var v = 1L
     var i = 0
     while (i < zeros) { v = (v << 1) | (if (r.readBit()) 1L else 0L); i += 1 }

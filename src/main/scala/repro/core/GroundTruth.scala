@@ -92,7 +92,13 @@ object GroundTruth {
       }
     }.sum
 
+  /** Def. 12 for one trajectory: it has a location at `tq` (so α = 0 admits
+    * exactly the live ones), and its mass inside RE reaches α.
+    */
+  def inRange(net: RoadNetwork, traj: UTraj, re: Rect, tq: Int, alpha: Double): Boolean =
+    traj.times.head <= tq && tq <= traj.times.last && overlapProb(net, traj, re, tq) >= alpha
+
   /** Probabilistic range query (Def. 12). */
   def range(net: RoadNetwork, trajs: Seq[UTraj], re: Rect, tq: Int, alpha: Double): Set[Long] =
-    trajs.filter(t => overlapProb(net, t, re, tq) >= alpha).map(_.id).toSet
+    trajs.filter(inRange(net, _, re, tq, alpha)).map(_.id).toSet
 }

@@ -108,7 +108,7 @@ final class QueryEngine(
       if (refProb < alpha && rt.pMax < alpha) {
         stats.lemma1Prunes += 1 // whole group skipped, no decompression
       } else {
-        if (refProb >= alpha && rt.fvId >= 0) out ++= passTimes(rt.refSlot)
+        if (refProb >= alpha && rt.refHits) out ++= passTimes(rt.refSlot)
         if (rt.pMax >= alpha) ct.nonRefs.indices.foreach { k =>
           val j = ct.refs.length + k
           if (ct.nonRefs(k).refSlot == rt.refSlot && prob(ct, j) >= alpha) out ++= passTimes(j)

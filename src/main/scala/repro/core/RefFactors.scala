@@ -117,6 +117,7 @@ object RefFactors {
       if (s == lay.refLen) Sm(r.readBits(lay.symBits).toInt)
       else {
         val l = r.readBits(lay.lBits).toInt + 1
+        require(s + l <= lay.refLen, s"E factor ($s, $l) outside a reference of ${lay.refLen} entries")
         if (i < h || lastHasM) Slm(s, l, r.readBits(lay.symBits).toInt)
         else Sl(s, l)
       }
@@ -256,6 +257,8 @@ object RefFactors {
     val fs = (1 to h).map { i =>
       val s = r.readBits(lay.sBits).toInt
       val l = r.readBits(lay.lBits).toInt
+      val inferred = if (i < h && !explicitMode) 1 else 0 // an inferred M reads ref(s + l)
+      require(s + l + inferred <= lay.refLen, s"T′ factor ($s, $l) outside a stored reference of ${lay.refLen} bits")
       val carriesM = if (i == h) lastHasM else explicitMode
       TfFactor(s, l, if (carriesM) Some(r.readBit()) else None)
     }
@@ -304,6 +307,10 @@ object RefFactors {
 
   def decodeD(lay: DLayout, r: BitReader): IndexedSeq[DFactor] = {
     val h = ExpGolomb.decodeUnsigned(r)
-    (1 to h).map(_ => DFactor(r.readBits(lay.posBits).toInt, r.readBits(lay.rdBits)))
+    (1 to h).map { _ =>
+      val pos = r.readBits(lay.posBits).toInt
+      require(pos < lay.numSamples, s"D factor at sample $pos of ${lay.numSamples}")
+      DFactor(pos, r.readBits(lay.rdBits))
+    }
   }
 }

@@ -11,12 +11,13 @@ import scala.collection.mutable
   *
   * Temporal part: for each time-partition slot that holds a sample of an
   * uncertain trajectory, a tuple (t.start, t.no) — earliest timestamp in
-  * the slot and its ordinal. Decoding T̂ from t.no on starts at the Δ
-  * offset the blob's own layout gives ([[Decompressor.timesFrom]]).
+  * the slot and its ordinal; the slot is t.start / slotSeconds. Decoding T̂
+  * from t.no on starts at the Δ offset the blob's own layout gives
+  * ([[Decompressor.timesFrom]]).
   *
   * Spatial part: for each grid cell a reference group (a reference and the
   * non-references encoded against it) traverses, one reference tuple
-  * (fv.id, fv.no, p_total, p_max). fv.id = −1 encodes the paper's ∞ case:
+  * (refHits, p_total, p_max). `refHits` is false in the paper's ∞ case:
   * the reference itself misses the cell but a non-reference of its group
   * passes it.
   *
@@ -25,6 +26,10 @@ import scala.collection.mutable
   *    read path takes its offsets from the blob's layout
   *    ([[CompressedTraj.layout]]), so only [[Compressor]] and
   *    [[Decompressor]] know the blob's bit layout.
+  *  - No (fv.id, fv.no): they let a `when` query start decoding a
+  *    reference's E at the entry that enters the cell. The query processor
+  *    decodes whole instances, so of the pair it reads only whether fv.id
+  *    is ∞, which `refHits` holds.
   *  - Non-references get no (rv.id, rv.no, ma.pos) tuples of their own.
   *    The query processor decodes whole instances and reaches a
   *    non-reference only through its group's reference tuples (p_total,
@@ -32,11 +37,11 @@ import scala.collection.mutable
   */
 object StIU {
 
-  final case class TemporalEntry(trajId: Long, slot: Int, tStart: Int, tNo: Int)
+  final case class TemporalEntry(trajId: Long, tStart: Int, tNo: Int)
 
   final case class RefTuple(
       trajId: Long, cell: Int, refSlot: Int,
-      fvId: Int, fvNo: Int,
+      refHits: Boolean,
       pTotal: Double, pMax: Double)
 
   /** The §5.2 non-reference tuple. Nothing builds it: [[buildFor]]'s third
@@ -56,15 +61,15 @@ object StIU {
       refTuples: Map[(Long, Int), IndexedSeq[RefTuple]],      // (trajId, cell) -> tuples
   ) {
     /** Index size in bits under fixed-width fields (for the Fig. 9 index
-      * size metric): temporal = id 32 + slot 16 + t.start 17 + t.no; ref
-      * tuple = id 32 + cell 16 + ref slot + fv.id 32 + fv.no 16 + 2
-      * probabilities à 16. t.no < n and the ref slot < R, so both take the
-      * blob header's [[Compressor.HeaderBits]]. There are no non-reference
-      * tuples to count.
+      * size metric): temporal = id 32 + t.start 17 + t.no; ref tuple = id
+      * 32 + cell 16 + ref slot + the ∞ bit + 2 probabilities à 16. t.no < n
+      * and the ref slot < R, so both take the blob header's
+      * [[Compressor.HeaderBits]]. There are no non-reference tuples to
+      * count.
       */
     def sizeBits: Long = {
-      val t = temporal.valuesIterator.map(_.size).sum.toLong * (32 + 16 + 17 + Compressor.HeaderBits)
-      val r = refTuples.valuesIterator.map(_.size).sum.toLong * (32 + 16 + Compressor.HeaderBits + 32 + 16 + 32)
+      val t = temporal.valuesIterator.map(_.size).sum.toLong * (32 + 17 + Compressor.HeaderBits)
+      val r = refTuples.valuesIterator.map(_.size).sum.toLong * (32 + 16 + Compressor.HeaderBits + 1 + 32)
       t + r
     }
   }
@@ -73,7 +78,8 @@ object StIU {
     * ordinal of the first arrival: the start vertex's cell, then every cell
     * an edge segment touches ([[Grid.cellsAlong]]), in path order.
     * Returns (cell -> entering path-edge ordinal, or −1 for the start cell)
-    * in arrival order.
+    * in arrival order. Nothing in the program reads the ordinal; the index
+    * build and TED's cell lists take the cells only.
     */
   def cellArrivals(net: RoadNetwork, grid: Grid, inst: Instance): IndexedSeq[(Int, Int)] =
     cellArrivals(net, grid, PathOps.resolve(net, inst))
@@ -157,7 +163,7 @@ object StIU {
     while (i < traj.times.length) {
       val slot = traj.times(i) / slotSec
       if (slot != lastSlot) {
-        temporal += TemporalEntry(traj.id, slot, traj.times(i), i)
+        temporal += TemporalEntry(traj.id, traj.times(i), i)
         lastSlot = slot
       }
       i += 1
@@ -169,23 +175,20 @@ object StIU {
     // are the quantized ones, the only ones the compressed side knows.
     val arrivals = new Arrivals(net, grid)
     val words = (grid.numCells + 63) >>> 6
-    val refPaths = ct.refs.map(rl => PathOps.resolve(net, traj.instances(rl.origIdx)))
+    def cellsOf(origIdx: Int): Array[Int] = arrivals.of(PathOps.resolve(net, traj.instances(origIdx))).cells
     val nonRefCells = ct.nonRefs.map { nl =>
       val set = new Array[Long](words)
-      arrivals.of(PathOps.resolve(net, traj.instances(nl.origIdx))).cells.foreach(add(set, _))
+      cellsOf(nl.origIdx).foreach(add(set, _))
       set
     }
     val refTuples = mutable.ArrayBuffer[RefTuple]()
     val refCells, groupCells = new Array[Long](words)
-    val entering = new Array[Int](grid.numCells) // read only where refCells holds the cell
     ct.refs.indices.foreach { refSlot =>
       val rl = ct.refs(refSlot)
-      val refPath = refPaths(refSlot)
       val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot).toArray
 
       java.util.Arrays.fill(refCells, 0L)
-      val a = arrivals.of(refPath)
-      a.cells.indices.foreach { k => add(refCells, a.cells(k)); entering(a.cells(k)) = a.entering(k) }
+      cellsOf(rl.origIdx).foreach(add(refCells, _))
       System.arraycopy(refCells, 0, groupCells, 0, words)
       nonRefs.foreach(k => (0 until words).foreach(x => groupCells(x) |= nonRefCells(k)(x)))
 
@@ -200,17 +203,7 @@ object StIU {
         }
         val refHits = has(refCells, cell)
         val pTotal = (if (refHits) rl.prob else 0.0) + pSum
-        refTuples += {
-          // The ∞ case: reference misses the cell, some non-reference hits it.
-          if (!refHits) RefTuple(traj.id, cell, refSlot, -1, -1, pTotal, pMax)
-          // Start cell: the paper stores (SV, 0).
-          else if (entering(cell) == -1) RefTuple(traj.id, cell, refSlot, refPath.inst.sv, 0, pTotal, pMax)
-          else {
-            // From-vertex of the entering edge, and its E entry.
-            val edge = entering(cell)
-            RefTuple(traj.id, cell, refSlot, refPath.edges(edge).from, refPath.edgeEntry(edge), pTotal, pMax)
-          }
-        }
+        refTuples += RefTuple(traj.id, cell, refSlot, refHits, pTotal, pMax)
       }
     }
 
@@ -235,9 +228,9 @@ object StIU {
     parts.foreach { case (entries, tuples, _) =>
       if (entries.nonEmpty) {
         val id = entries.head.trajId
-        val bySlotOrder = entries.sortBy(_.slot).toVector
+        val bySlotOrder = entries.sortBy(_.tStart).toVector
         temporal += id -> bySlotOrder
-        (bySlotOrder.head.slot to bySlotOrder.last.slot).foreach { s =>
+        (bySlotOrder.head.tStart / slotSeconds to bySlotOrder.last.tStart / slotSeconds).foreach { s =>
           bySlot.getOrElseUpdate(s.toLong, mutable.ArrayBuffer[Long]()) += id
         }
       }

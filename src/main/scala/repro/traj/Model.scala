@@ -62,14 +62,12 @@ final case class MappedLoc(edge: Edge, rd: Double) {
   * instance's geometry.
   *
   * @param edges      the path edges (E's 0 repeat markers skipped)
-  * @param edgeEntry  the E entry of each path edge
   * @param sampleEdge the path-edge ordinal carrying each sample
   * @param offsets    network distance from the path start to each sample
   */
 final class ResolvedPath(
     val inst: Instance,
     val edges: Array[Edge],
-    val edgeEntry: Array[Int],
     val sampleEdge: Array[Int],
     val offsets: Array[Double],
 ) {
@@ -111,7 +109,6 @@ object PathOps {
   /** Resolve an instance's path in one walk of its E/T′. */
   def resolve(net: RoadNetwork, inst: Instance): ResolvedPath = {
     val edges = Array.newBuilder[Edge]
-    val edgeEntry = Array.newBuilder[Int]
     val sampleEdge = new Array[Int](inst.numSamples)
     val offsets = new Array[Double](inst.numSamples)
     var v = inst.sv
@@ -125,7 +122,7 @@ object PathOps {
       if (no != 0) {
         if (cur != null) before += cur.length
         cur = net.edge(v, no); v = cur.to; ord += 1
-        edges += cur; edgeEntry += i
+        edges += cur
       }
       if (inst.tflags(i)) {
         sampleEdge(s) = ord
@@ -134,7 +131,7 @@ object PathOps {
       }
       i += 1
     }
-    new ResolvedPath(inst, edges.result(), edgeEntry.result(), sampleEdge, offsets)
+    new ResolvedPath(inst, edges.result(), sampleEdge, offsets)
   }
 
   /** The edges of an instance path (0-entries skipped). */

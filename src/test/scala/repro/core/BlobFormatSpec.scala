@@ -43,6 +43,19 @@ class BlobFormatSpec extends SparkSpec {
     }
   }
 
+  test("the parse's per-component bit counts equal the recorded accounting (first 100 per profile)") {
+    // Table 8's component ratios read these counts; each total is the
+    // golden bit count of the test above.
+    val golden = Map(
+      "DK" -> Sizes(3442, 26155, 14638, 7381, 7038, 1904, 8110),
+      "CD" -> Sizes(5302, 9213, 7761, 2211, 2583, 1296, 5332),
+      "HZ" -> Sizes(7642, 52704, 23588, 13546, 14993, 2004, 12267))
+    golden.foreach { case (profile, sizes) =>
+      val (m, p, ts) = setup(profile)
+      assert(ts.map(t => Compressor.compress(m, p, t).ct.sizes).reduce(_ + _) == sizes, profile)
+    }
+  }
+
   test("the parsed layout reads back every component the encoder wrote") {
     trajs.foreach { t =>
       val ct = Compressor.compress(meta, params, t).ct
@@ -76,6 +89,30 @@ class BlobFormatSpec extends SparkSpec {
         val e = intercept[IllegalArgumentException](Decompressor.decompress(meta, cut))
         assert(e.getMessage.startsWith(s"trajectory ${ct.id}:"), e.getMessage)
       }
+    }
+  }
+
+  test("a blob with any one bit flipped decodes or fails with an error naming the trajectory") {
+    // Every single-bit flip of 20 CD and 20 HZ blobs. The parse checks each
+    // field it reads, so no flip ends in a NullPointerException or an index
+    // error deep inside a decoder.
+    val (hzMeta, hzParams, hzTrajs) = setup("HZ")
+    val hzCts = hzTrajs.take(20).map(t => Compressor.compress(hzMeta, hzParams, t).ct)
+    Seq(meta -> cts, hzMeta -> hzCts).foreach { case (m, blobs) =>
+      var failed = 0
+      blobs.foreach { ct =>
+        (0 until ct.blobBits).foreach { b =>
+          val blob = ct.blob.clone()
+          blob(b >>> 3) = (blob(b >>> 3) ^ (0x80 >>> (b & 7))).toByte
+          try Decompressor.decompress(m, ct.copy(blob = blob))
+          catch {
+            case e: IllegalArgumentException =>
+              failed += 1
+              assert(e.getMessage.startsWith(s"trajectory ${ct.id}:"), s"bit $b: ${e.getMessage}")
+          }
+        }
+      }
+      assert(failed > 0)
     }
   }
 

@@ -54,9 +54,8 @@ class EdgeCasesSpec extends SparkSpec {
     }
     val (x, y) = GroundTruth.locXY(net, MappedLoc(e, dec.instances(0).dists(0)))
     val re = Rect(x - 1, y - 1, x + 1, y + 1)
-    // α > 0: at α = 0 ground truth admits a trajectory at any time.
     Seq(99, 100, 101).foreach { t =>
-      Seq(0.5, 1.0).foreach { alpha =>
+      Seq(0.0, 0.5, 1.0).foreach { alpha =>
         assert(engine.range(re, t, alpha) == GroundTruth.range(net, Seq(dec), re, t, alpha), s"range t=$t α=$alpha")
       }
     }

@@ -112,7 +112,7 @@ class QueriesSpec extends SparkSpec {
 
   test("when reaches non-references through an ∞ tuple when only they pass the point") {
     // A mapped location of a non-reference, in a cell where every tuple of
-    // the trajectory is ∞ (fv.id = −1) and no reference passes the point.
+    // the trajectory is ∞ (refHits false) and no reference passes the point.
     val cases = for {
       t <- trajs.iterator
       ct = compressed(t.id)
@@ -122,7 +122,7 @@ class QueriesSpec extends SparkSpec {
       l <- path.inst.dists.indices.iterator.map(path.mapped)
       (x, y) = GroundTruth.locXY(net, l)
       tuples = engine.index.refTuples.getOrElse((t.id, grid.cellOf(x, y)), Vector.empty)
-      if tuples.nonEmpty && tuples.forall(_.fvId == -1)
+      if tuples.nonEmpty && tuples.forall(!_.refHits)
       if ct.refs.forall(rl => GroundTruth.passTimes(net, dec.times, dec.instances(rl.origIdx),
         l.edge.from, l.edge.to, l.rd).isEmpty)
     } yield (t.id, l, nl.prob)
@@ -236,6 +236,25 @@ class QueriesSpec extends SparkSpec {
     val tq = t.times(t.times.length / 2)
     val decAll = trajs.map(x => decompressed(x.id))
     assert(engine.range(re, tq, 0.99) == GroundTruth.range(net, decAll, re, tq, 0.99))
+
+    // At α = 0 Def. 12 admits exactly the trajectories alive at tq: also
+    // those away from a small region, and none whose samples end before tq.
+    val tedDs = TedCompressor.compress(meta, trajs)
+    val ted = new TedQueryEngine(net, tedDs, grid, params.slotSeconds)
+    val tedAll = tedDs.trajs.map(TedCompressor.decompressTraj(tedDs, _))
+    val dec = decompressed(t.id)
+    val (cx, cy) = GroundTruth.locXY(net, GroundTruth.locationAt(net, dec.times, dec.instances.head, tq).get)
+    val small = Rect(cx - 500, cy - 500, cx + 500, cy + 500)
+    Seq(tq, t.times.last + 1).foreach { at =>
+      val live = trajs.filter(x => x.times.head <= at && at <= x.times.last).map(_.id).toSet
+      assert(live.contains(t.id) == (at == tq))
+      Seq(re, small).foreach { r =>
+        assert(GroundTruth.range(net, decAll, r, at, 0.0) == live, s"oracle tq=$at re=$r")
+        assert(engine.range(r, at, 0.0) == live, s"engine tq=$at re=$r")
+        assert(GroundTruth.range(net, tedAll, r, at, 0.0) == live, s"oracle on TED data tq=$at re=$r")
+        assert(ted.range(r, at, 0.0) == live, s"TED tq=$at re=$r")
+      }
+    }
   }
 
   test("range with an empty region returns nothing") {

@@ -366,7 +366,7 @@ object ReferenceKernels {
     while (i < traj.times.length) {
       val slot = traj.times(i) / slotSec
       if (slot != lastSlot) {
-        temporal += TemporalEntry(traj.id, slot, traj.times(i), i)
+        temporal += TemporalEntry(traj.id, traj.times(i), i)
         lastSlot = slot
       }
       i += 1
@@ -378,24 +378,14 @@ object ReferenceKernels {
     val refTuples = mutable.ArrayBuffer[RefTuple]()
     ct.refs.indices.foreach { refSlot =>
       val rl = ct.refs(refSlot)
-      val refPath = refPaths(refSlot)
-      val refInst = refPath.inst
       val entering = refCells(refSlot)
       val nonRefs = ct.nonRefs.indices.filter(ct.nonRefs(_).refSlot == refSlot)
-      val refVerts = refPath.vertices
 
       (entering.keySet ++ nonRefs.flatMap(nonRefCells)).foreach { cell =>
         val nonRefProbs = nonRefs.filter(nonRefCells(_).contains(cell)).map(ct.nonRefs(_).prob)
         val pMax = if (nonRefProbs.isEmpty) 0.0 else nonRefProbs.max
         val pTotal = (if (entering.contains(cell)) rl.prob else 0.0) + nonRefProbs.sum
-        refTuples += (entering.get(cell) match {
-          case None => RefTuple(traj.id, cell, refSlot, -1, -1, pTotal, pMax)
-          case Some(-1) => RefTuple(traj.id, cell, refSlot, refInst.sv, 0, pTotal, pMax)
-          case Some(edge) =>
-            val fv = refVerts(edge)
-            val fvNo = refPath.edgeEntry(edge)
-            RefTuple(traj.id, cell, refSlot, fv, fvNo, pTotal, pMax)
-        })
+        refTuples += RefTuple(traj.id, cell, refSlot, entering.contains(cell), pTotal, pMax)
       }
     }
 
@@ -408,9 +398,9 @@ object ReferenceKernels {
       parts: Seq[(IndexedSeq[TemporalEntry], IndexedSeq[RefTuple], IndexedSeq[NonRefTuple])],
   ): Index = {
     val temporal = parts.flatMap(_._1)
-    val byTraj = temporal.groupBy(_.trajId).view.mapValues(_.sortBy(_.slot).toVector).toMap
+    val byTraj = temporal.groupBy(_.trajId).view.mapValues(_.sortBy(_.tStart).toVector).toMap
     val spans = temporal.map(_.trajId).distinct.flatMap { id =>
-      (byTraj(id).head.slot to byTraj(id).last.slot).map(_ -> id)
+      (byTraj(id).head.tStart / slotSeconds to byTraj(id).last.tStart / slotSeconds).map(_ -> id)
     }
     Index(
       grid,

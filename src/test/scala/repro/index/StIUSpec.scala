@@ -39,12 +39,11 @@ class StIUSpec extends SparkSpec {
   test("temporal entries: one per touched slot, with correct t.start and t.no") {
     parts.foreach { case (t, _, (temporal, _, _)) =>
       val slots = t.times.map(_ / params.slotSeconds).distinct
-      assert(temporal.map(_.slot).toSeq == slots.toSeq)
+      assert(temporal.map(_.tStart / params.slotSeconds).toSeq == slots.toSeq)
       temporal.foreach { e =>
         assert(t.times(e.tNo) == e.tStart)
-        assert(e.tStart / params.slotSeconds == e.slot)
         // t.start is the earliest timestamp in the slot
-        assert(!t.times.exists(x => x < e.tStart && x / params.slotSeconds == e.slot))
+        assert(!t.times.exists(x => x < e.tStart && x / params.slotSeconds == e.tStart / params.slotSeconds))
       }
     }
   }
@@ -138,29 +137,12 @@ class StIUSpec extends SparkSpec {
     }
   }
 
-  test("fv.id = -1 exactly when the reference misses the cell") {
+  test("refHits is false (the ∞ case) exactly when the reference misses the cell") {
     parts.take(15).foreach { case (t, ct, (_, refTuples, _)) =>
       refTuples.foreach { rt =>
         val refInst = t.instances(ct.refs(rt.refSlot).origIdx)
         val refHits = StIU.cellArrivals(net, grid, refInst).exists(_._1 == rt.cell)
-        assert((rt.fvId >= 0) == refHits)
-      }
-    }
-  }
-
-  test("reference tuple fv is the vertex traversed before entering the cell") {
-    parts.take(10).foreach { case (t, ct, (_, refTuples, _)) =>
-      refTuples.filter(_.fvId >= 0).foreach { rt =>
-        val refInst = t.instances(ct.refs(rt.refSlot).origIdx)
-        val path = PathOps.resolve(net, refInst)
-        val verts = path.vertices
-        assert(verts.contains(rt.fvId))
-        if (rt.fvNo > 0) {
-          // fv.no indexes an E entry whose edge leaves fv.
-          val ord = path.edgeEntry.indexOf(rt.fvNo)
-          assert(ord >= 0)
-          assert(verts(ord) == rt.fvId)
-        }
+        assert(rt.refHits == refHits)
       }
     }
   }
@@ -189,10 +171,11 @@ class StIUSpec extends SparkSpec {
     // A trajectory is listed in exactly the slots from its first temporal
     // entry's to its last, whether or not a slot holds one of its samples.
     assert(index.bySlot.valuesIterator.flatten.forall(index.temporal.contains))
-    val slots = index.bySlot.keySet ++ index.temporal.valuesIterator.flatMap(_.map(_.slot))
+    def slot(e: StIU.TemporalEntry) = e.tStart / params.slotSeconds
+    val slots = index.bySlot.keySet ++ index.temporal.valuesIterator.flatMap(_.map(slot))
     index.temporal.foreach { case (id, es) =>
       slots.foreach { s =>
-        assert(index.bySlot.getOrElse(s, Vector.empty).contains(id) == (es.head.slot <= s && s <= es.last.slot),
+        assert(index.bySlot.getOrElse(s, Vector.empty).contains(id) == (slot(es.head) <= s && s <= slot(es.last)),
           s"traj $id slot $s")
       }
     }

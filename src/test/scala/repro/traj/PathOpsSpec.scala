@@ -29,9 +29,6 @@ class PathOpsSpec extends SparkSpec {
     assert(locs(2).edge.from == v5 && locs(3).edge.from == v5)
     assert(locs(4).edge.from == v6)
     assert(locs(5).edge.from == v7 && locs(6).edge.from == v7)
-    // The E entry of each path edge skips the 0 repeat markers.
-    assert(path.edgeEntry.map(tu11.edges(_)).forall(_ != 0))
-    assert(path.edgeEntry.length == path.edges.length)
   }
 
   test("sampleOffsets is non-decreasing and bounded by path length") {
