@@ -3,6 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro._
 import repro.core.Params
+import repro.eval.Tables
 import repro.spark.UtcqSpark
 
 /** spark-submit entrypoint: generate an NCUT dataset, compress it with
@@ -34,10 +35,9 @@ object CompressJob {
     val secs = (System.nanoTime() - t0) / 1e9
 
     println(f"dataset=$profile trajectories=$n")
-    println(f"compression ratio total=${original.total.toDouble / compressed.total}%.3f " +
-      f"T=${original.t.toDouble / compressed.t}%.3f E=${original.e.toDouble / compressed.e}%.3f " +
-      f"D=${original.d.toDouble / compressed.d}%.3f T'=${original.tf.toDouble / compressed.tf}%.3f " +
-      f"p=${original.p.toDouble / compressed.p}%.3f time=$secs%.1fs")
+    val r = Tables.ratios(original, compressed)
+    println(f"compression ratio total=${r.total}%.3f T=${r.t}%.3f E=${r.e}%.3f " +
+      f"D=${r.d}%.3f T'=${r.tf}%.3f p=${r.p}%.3f time=$secs%.1fs")
 
     outDir.foreach(dir => rows.write.mode("overwrite").parquet(s"$dir/compressed"))
     spark.stop()

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro._
 import repro.core.GroundTruth.Rect
 import repro.spark.UtcqSpark

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.Tables
 
 /** spark-submit entrypoints, one per evaluation table (see DESIGN.md §4).

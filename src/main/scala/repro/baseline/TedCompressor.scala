@@ -2,7 +2,7 @@ package repro.baseline
 
 import repro.core.{DatasetMeta, Sizes}
 import repro.traj.{Instance, UTraj}
-import repro.util.{BitVec, BitWriter, Bits}
+import repro.util.{BitVec, BitWriter}
 import scala.collection.mutable
 
 /** The TED baseline [40], adapted to uncertain trajectories per §6.1 of the
@@ -103,7 +103,7 @@ object TedCompressor {
     while (i < times.length) {
       val d = times(runStart + 1) - times(runStart)
       // extend run while interval stays d
-      if (times(i) - times(i - 1) != d || i - runStart < 1) {
+      if (times(i) - times(i - 1) != d) {
         // close previous run at i-1, start new run there
         out += ((i - 1, times(i - 1)))
         runStart = i - 1
@@ -111,7 +111,7 @@ object TedCompressor {
       i += 1
     }
     out += ((times.length - 1, times.last))
-    out.distinct.toVector
+    out.toVector
   }
 
   /** Reconstruct a time sequence from its pairs. */

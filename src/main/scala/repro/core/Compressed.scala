@@ -74,9 +74,10 @@ object Sizes {
   }
 }
 
-/** Bit offsets of one reference instance inside the blob. Derived from the
-  * blob by [[Decompressor.layout]] and never stored: the StIU keeps no
-  * offsets (the paper's d.pos), so every reader takes them from here.
+/** Where one reference instance's fixed-width SV, E, stored T′ and D start
+  * inside the blob, and its decoded probability. Derived from the blob by
+  * [[Decompressor.layout]] and never stored: the StIU keeps no offsets (the
+  * paper's d.pos), so every reader takes them from here.
   */
 final case class RefLayout(
     origIdx: Int,   // instance index in the original trajectory
@@ -85,11 +86,13 @@ final case class RefLayout(
     eOff: Int,
     tfOff: Int,     // stored T′ (first/last bits omitted): eLen − 2 bits
     dOff: Int,
-    pOff: Int,
     prob: Double,   // quantized probability
 )
 
-/** Bit offsets of one non-reference instance inside the blob.
+/** Where one non-reference instance's factor lists start inside the blob,
+  * and its decoded probability. Com_E, Com_T′ and Com_D follow one another
+  * from `comEOff`, and [[Decompressor.nonRefInstance]] reads them in one
+  * pass.
   *
   * `comEFactorOffs`/`comEFactorSpans` locate each Com_E factor. No program
   * path reads them since non-references get no StIU tuples of their own
@@ -99,10 +102,7 @@ final case class RefLayout(
 final case class NonRefLayout(
     origIdx: Int,
     refSlot: Int,        // index into the refs array
-    pOff: Int,
-    comEOff: Int,
-    comTfOff: Int,
-    comDOff: Int,
+    comEOff: Int,        // Com_E, then Com_T′ and Com_D, in one run of bits
     prob: Double,
     comEFactorOffs: Array[Int], // bit offset of each Com_E factor
     comEFactorSpans: Array[Int], // start entry (in E(nonref)) of each factor

@@ -5,12 +5,13 @@ import repro.util.{BitReader, Bits}
 
 /** Full and partial decompression of [[CompressedTraj]] blobs (§5.1).
   *
-  * [[layout]] is the one parse of a blob into the bit offset of every
-  * component and the bits each component takes (the Table 8 accounting);
-  * with [[Compressor]], the writer, this is the only code that knows the
-  * blob's bit layout. Every partial decode starts at an offset
-  * of that layout: times from any sample's Δ code ([[timesFrom]]), and a
-  * reference's fixed-width components from its own offsets. The StIU
+  * [[layout]] is the one parse of a blob into the offsets a reader starts
+  * from and the bits each component takes (the Table 8 accounting); with
+  * [[Compressor]], the writer, this is the only code that knows the blob's
+  * bit layout. Every partial decode starts at an offset of that layout:
+  * times from any sample's Δ code ([[timesFrom]]), a reference's
+  * fixed-width components from its own offsets, and a non-reference's
+  * three factor lists from one offset, in one sequential read. The StIU
   * stores no offsets, so §5.1's flag and original arrays (ω, γ), which
   * only located the paper's d.pos, are not built. A non-reference is
   * always decoded whole, from its reference and its factor lists; the
@@ -25,7 +26,9 @@ object Decompressor {
   // ------------------------------------------------------------- layout
 
   /** One sequential parse of `ct`'s blob, with the decoders below, into the
-    * bit offset and the bit count ([[Sizes]]) of every component. Fails
+    * offsets its readers start from (t0, each Δ code, each reference's SV,
+    * E, T′ and D, each non-reference's Com_E) and the bit count ([[Sizes]])
+    * of every component, each counted from the reader's position. Fails
     * with an `IllegalArgumentException` naming the trajectory unless the
     * parse ends exactly at `blobBits` and every index it reads is in range.
     */
@@ -61,13 +64,13 @@ object Decompressor {
       val eOff = svOff + meta.svBits
       val tfOff = eOff + eLen.toLong * meta.symBits
       val dOff = tfOff + math.max(0, eLen - 2)
-      val pOff = dOff + n.toLong * pddpD.bits
-      require(pOff <= ct.blobBits, s"reference of $eLen entries ends past the blob")
-      r.seek(pOff.toInt)
+      val dEnd = dOff + n.toLong * pddpD.bits
+      require(dEnd <= ct.blobBits, s"reference of $eLen entries ends past the blob")
+      r.seek(dEnd.toInt)
       eBits += svOff - eLenOff + tfOff - eOff
       tfBits += dOff - tfOff
-      dBits += pOff - dOff
-      RefLayout(origIdx, eLen, svOff, eOff, tfOff.toInt, dOff.toInt, pOff.toInt, pddpP.decode(r))
+      dBits += dEnd - dOff
+      RefLayout(origIdx, eLen, svOff, eOff, tfOff.toInt, dOff.toInt, pddpP.decode(r))
     }
 
     def entries(f: RefFactors.EFactor): Int = f match {
@@ -80,20 +83,19 @@ object Decompressor {
       val origIdx = r.readBits(origIdxBits).toInt
       val refSlot = r.readBits(refSlotBits).toInt
       require(refSlot < numRefs, s"reference slot $refSlot of $numRefs")
-      val pOff = r.pos
       val prob = pddpP.decode(r)
       val refLen = refs(refSlot).eLen
       val comEOff = r.pos
       val factorOffs = Array.newBuilder[Int]
       val eFactors = RefFactors.decodeE(RefFactors.ELayout(refLen, meta.symBits), r, factorOffs += _)
-      val comTfOff = r.pos
+      val tfAt = r.pos
       RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), r)
-      val comDOff = r.pos
+      val dAt = r.pos
       RefFactors.decodeD(RefFactors.DLayout(n, pddpD.bits), r)
-      eBits += comTfOff - comEOff
-      tfBits += comDOff - comTfOff
-      dBits += r.pos - comDOff
-      NonRefLayout(origIdx, refSlot, pOff, comEOff, comTfOff, comDOff, prob,
+      eBits += tfAt - comEOff
+      tfBits += dAt - tfAt
+      dBits += r.pos - dAt
+      NonRefLayout(origIdx, refSlot, comEOff, prob,
         factorOffs.result(), eFactors.scanLeft(0)(_ + entries(_)).init.toArray)
     }
 
@@ -194,32 +196,20 @@ object Decompressor {
 
   // ----------------------------------------------------- non-references
 
-  def nonRefEFactors(ct: CompressedTraj, k: Int): IndexedSeq[RefFactors.EFactor] = {
-    val nl = ct.nonRefs(k)
-    val refLen = ct.refs(nl.refSlot).eLen
-    RefFactors.decodeE(RefFactors.ELayout(refLen, ct.meta.symBits), new BitReader(ct.bits, nl.comEOff))
-  }
-
-  def nonRefTfCom(ct: CompressedTraj, k: Int): RefFactors.TfCom = {
-    val nl = ct.nonRefs(k)
-    val refLen = ct.refs(nl.refSlot).eLen
-    RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), new BitReader(ct.bits, nl.comTfOff))
-  }
-
-  def nonRefDFactors(ct: CompressedTraj, k: Int): IndexedSeq[RefFactors.DFactor] = {
-    val nl = ct.nonRefs(k)
-    RefFactors.decodeD(RefFactors.DLayout(ct.n, ct.meta.pddpD.bits), new BitReader(ct.bits, nl.comDOff))
-  }
-
+  /** Non-reference `k`, from one sequential read of its Com_E, Com_T′ and
+    * Com_D (in blob order, from `comEOff`) against its reference.
+    */
   def nonRefInstance(ct: CompressedTraj, k: Int): Instance = {
     val nl = ct.nonRefs(k)
     val slot = nl.refSlot
-    val refE = refEdges(ct, slot)
-    val edges = RefFactors.reconstructE(refE, nonRefEFactors(ct, k))
-    val storedRefTf = refStoredTf(ct, slot)
-    val tf = Compressor.restoreTf(
-      RefFactors.reconstructTf(storedRefTf, nonRefTfCom(ct, k)), edges.length)
-    val codes = RefFactors.reconstructD(refDCodes(ct, slot), nonRefDFactors(ct, k))
+    val refLen = ct.refs(slot).eLen
+    val r = new BitReader(ct.bits, nl.comEOff)
+    val eFactors = RefFactors.decodeE(RefFactors.ELayout(refLen, ct.meta.symBits), r)
+    val tfCom = RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), r)
+    val dFactors = RefFactors.decodeD(RefFactors.DLayout(ct.n, ct.meta.pddpD.bits), r)
+    val edges = RefFactors.reconstructE(refEdges(ct, slot), eFactors)
+    val tf = Compressor.restoreTf(RefFactors.reconstructTf(refStoredTf(ct, slot), tfCom), edges.length)
+    val codes = RefFactors.reconstructD(refDCodes(ct, slot), dFactors)
     named(ct)(Instance(nl.prob, refSv(ct, slot), edges, tf, dists(ct, codes)))
   }
 

@@ -105,7 +105,8 @@ object RefFactors {
   }
 
   /** Decode Com_E; `atFactor` receives the bit offset at which each factor
-    * starts (the StIU `ma.pos`).
+    * starts (which [[Decompressor.layout]] keeps in
+    * `NonRefLayout.comEFactorOffs`).
     */
   def decodeE(lay: ELayout, r: BitReader, atFactor: Int => Unit = _ => ()): IndexedSeq[EFactor] = {
     val h = ExpGolomb.decodeUnsigned(r)
@@ -135,79 +136,55 @@ object RefFactors {
 
   /** Factorize a time-flag bit-string against its reference.
     *
-    * Non-terminal factors rely on M inference (M = NOT ref[S+L]); the
-    * encoder therefore only emits match positions with an in-range genuine
-    * mismatch, which exists by maximality whenever any in-range position
-    * attains the maximum match length. If the greedy parse ever gets stuck
-    * (degenerate constant references), it falls back to explicit-M mode
-    * where every factor carries its mismatch bit (1 header bit).
+    * One greedy parse with [[longestMatch]] on 0/1 copies of both strings.
+    * Implicit mode first: a non-terminal factor of length L relies on M
+    * inference (M = NOT ref[S+L]), so it starts at the longest match over
+    * `ref` without its last entry, the smallest start whose mismatch bit
+    * is in range; by maximality that bit differs from the target's. When
+    * no such start has the full length L (or L is 0: the bit never occurs
+    * in `ref`, as with degenerate constant references), the parse is
+    * redone in explicit-M mode, where every factor carries its mismatch
+    * bit (1 header bit).
     */
   def factorizeTf(ref: Array[Boolean], target: Array[Boolean]): TfCom = {
-    if (ref.length == target.length && ref.indices.forall(i => ref(i) == target(i)))
-      return TfCom(Vector.empty, explicitMode = false)
+    if (java.util.Arrays.equals(ref, target)) return TfCom(Vector.empty, explicitMode = false)
     if (target.isEmpty)
       // An empty factor list means "identical to the reference", so an empty
       // target against a non-empty reference needs one explicit zero-length
       // terminal factor.
       return TfCom(Vector(TfFactor(0, 0, None)), explicitMode = true)
-    implicitParse(ref, target) match {
+    val r = ref.map(b => if (b) 1 else 0)
+    val t = target.map(b => if (b) 1 else 0)
+    parseTf(r, t, explicit = false) match {
       case Some(fs) => TfCom(fs, explicitMode = false)
-      case None     => TfCom(explicitParse(ref, target), explicitMode = true)
+      case None     => TfCom(parseTf(r, t, explicit = true).get, explicitMode = true)
     }
   }
 
-  private def longestBitMatch(ref: Array[Boolean], target: Array[Boolean], from: Int): (Int, Int) = {
-    var bestS = 0; var bestL = 0
-    var s = 0
-    while (s < ref.length) {
-      var l = 0
-      while (s + l < ref.length && from + l < target.length && ref(s + l) == target(from + l)) l += 1
-      if (l > bestL) { bestL = l; bestS = s }
-      s += 1
-    }
-    (bestS, bestL)
-  }
-
-  private def implicitParse(ref: Array[Boolean], target: Array[Boolean]): Option[IndexedSeq[TfFactor]] = {
+  /** The greedy T′ parse of `target` against `ref` (0/1 entries); `None`
+    * when implicit mode cannot infer some factor's M.
+    */
+  private def parseTf(ref: Array[Int], target: Array[Int], explicit: Boolean): Option[IndexedSeq[TfFactor]] = {
+    val refInit = java.util.Arrays.copyOf(ref, math.max(0, ref.length - 1))
     val out = ArrayBuffer[TfFactor]()
     var i = 0
     while (i < target.length) {
-      val (maxS, maxL) = longestBitMatch(ref, target, i)
-      if (maxL == 0) return None // bit not present in ref at all
-      if (i + maxL == target.length) {
-        // Terminal factor, no mismatch — (S, L) with hasM = false.
-        out += TfFactor(maxS, maxL, None)
-        i += maxL
-      } else {
-        // Need an in-range genuine mismatch so the decoder can infer M.
-        var s = 0; var found = -1
-        while (s < ref.length && found < 0) {
-          if (s + maxL < ref.length) {
-            var l = 0
-            while (l < maxL && ref(s + l) == target(i + l)) l += 1
-            if (l == maxL) found = s // maximality ⇒ ref(s+maxL) != target(i+maxL)
-          }
-          s += 1
+      val (s, l) = longestMatch(ref, target, i)
+      if (i + l == target.length) { out += TfFactor(s, l, None); i += l }
+      else {
+        val m = target(i + l) == 1
+        if (explicit) out += TfFactor(s, l, Some(m))
+        else {
+          if (l == 0) return None
+          val (inS, inL) = longestMatch(refInit, target, i)
+          if (inL < l) return None
+          // Paper: keep the last factor as (S, L, M) when its mismatch exists.
+          out += TfFactor(inS, l, if (i + l + 1 == target.length) Some(m) else None)
         }
-        if (found < 0) return None
-        val isLast = i + maxL + 1 == target.length
-        out += TfFactor(found, maxL, if (isLast) Some(target(i + maxL)) else None)
-        i += maxL + 1
+        i += l + 1
       }
     }
-    // Paper: keep the last factor as (S,L,M) when its mismatch exists.
     Some(out.toVector)
-  }
-
-  private def explicitParse(ref: Array[Boolean], target: Array[Boolean]): IndexedSeq[TfFactor] = {
-    val out = ArrayBuffer[TfFactor]()
-    var i = 0
-    while (i < target.length) {
-      val (s, l) = longestBitMatch(ref, target, i)
-      if (i + l == target.length) { out += TfFactor(s, l, None); i += l }
-      else { out += TfFactor(s, l, Some(target(i + l))); i += l + 1 }
-    }
-    out.toVector
   }
 
   /** Reconstruct a time-flag bit-string from its factors. */

@@ -72,10 +72,6 @@ final class ResolvedPath(
     val offsets: Array[Double],
 ) {
 
-  /** Vertex sequence visited by the path (length = #edges + 1). */
-  def vertices: Array[Int] =
-    if (edges.isEmpty) Array(inst.sv) else edges.map(_.from) :+ edges.last.to
-
   /** Mapped location of sample `s`. */
   def mapped(s: Int): MappedLoc = MappedLoc(edges(sampleEdge(s)), inst.dists(s))
 

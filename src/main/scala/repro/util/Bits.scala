@@ -5,8 +5,7 @@ package repro.util
   * All compressed artefacts in this repo (reference edge codes, PDDP
   * fractions, Exp-Golomb time deltas, referential factors) are written
   * through this class so that sizes reported by the benches are real bit
-  * counts, and so that the StIU index can store *bit offsets* into the
-  * streams for partial decompression.
+  * counts.
   */
 final class BitWriter {
   private var words = new Array[Long](4)

@@ -6,6 +6,7 @@ import repro.SparkSpec
 import repro.jobs.JobDefaults
 import repro.network.RoadNetworkGen
 import repro.traj.{UTraj, UncertainTrajGen}
+import repro.util.BitReader
 
 /** The stored form of a compressed trajectory is its blob plus the widths
   * that wrote it; everything else is parsed from the blob. These tests pin
@@ -64,11 +65,11 @@ class BlobFormatSpec extends SparkSpec {
       assert((ct.refs.map(_.origIdx) ++ ct.nonRefs.map(_.origIdx)).sorted.toSeq == t.instances.indices)
       ct.refs.indices.foreach(s => assert(Decompressor.refSv(ct, s) == t.instances(ct.refs(s).origIdx).sv))
       ct.nonRefs.indices.foreach { k =>
-        // Each factor offset (the StIU ma.pos) is where that factor's S field
-        // starts, and each span is where its entries start in E(nonref).
+        // Each factor offset (`comEFactorOffs`) is where that factor's S
+        // field starts, and each span is where its entries start in E(nonref).
         val nl = ct.nonRefs(k)
         val lay = RefFactors.ELayout(ct.refs(nl.refSlot).eLen, meta.symBits)
-        val factors = Decompressor.nonRefEFactors(ct, k)
+        val factors = RefFactors.decodeE(lay, new BitReader(ct.bits, nl.comEOff))
         val starts = factors.map {
           case RefFactors.Slm(s, _, _) => s
           case RefFactors.Sl(s, _)     => s

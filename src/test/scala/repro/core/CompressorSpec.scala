@@ -3,6 +3,7 @@ package repro.core
 import repro.SparkSpec
 import repro.network.RoadNetworkGen
 import repro.traj.UncertainTrajGen
+import repro.util.BitReader
 
 /** End-to-end compressor/decompressor tests over generated datasets. */
 class CompressorSpec extends SparkSpec {
@@ -52,7 +53,7 @@ class CompressorSpec extends SparkSpec {
         val isNonRef = a.refOf.contains(i)
         assert(isRef != isNonRef, s"instance $i of traj ${t.id}")
       }
-      a.refOf.foreach { case (nr, r) => assert(a.refs.contains(r) && !a.refOf.contains(r)) }
+      a.refOf.foreach { case (_, r) => assert(a.refs.contains(r) && !a.refOf.contains(r)) }
     }
   }
 
@@ -82,7 +83,9 @@ class CompressorSpec extends SparkSpec {
       val res = Compressor.compress(meta, params, t)
       val ct = res.ct
       ct.nonRefs.foreach { nl =>
-        comBits += (nl.comTfOff - nl.comEOff).toLong
+        val r = new BitReader(ct.bits, nl.comEOff)
+        RefFactors.decodeE(RefFactors.ELayout(ct.refs(nl.refSlot).eLen, meta.symBits), r)
+        comBits += (r.pos - nl.comEOff).toLong
         fixedBits += t.instances(nl.origIdx).edges.length.toLong * meta.symBits
       }
     }

@@ -17,7 +17,7 @@ class RefFactorsSpec extends SparkSpec {
     Array.fill(len)(rnd.nextInt(alphabet))
 
   private def mutate(base: Array[Int], edits: Int, alphabet: Int): Array[Int] = {
-    var cur = base.clone.toBuffer
+    val cur = base.clone.toBuffer
     (1 to edits).foreach { _ =>
       rnd.nextInt(3) match {
         case 0 if cur.nonEmpty => cur(rnd.nextInt(cur.length)) = rnd.nextInt(alphabet)
@@ -99,7 +99,7 @@ class RefFactorsSpec extends SparkSpec {
   private def randomBits(len: Int): Array[Boolean] = Array.fill(len)(rnd.nextBoolean())
 
   private def mutateBits(base: Array[Boolean], edits: Int): Array[Boolean] = {
-    var cur = base.clone.toBuffer
+    val cur = base.clone.toBuffer
     (1 to edits).foreach { _ =>
       rnd.nextInt(3) match {
         case 0 if cur.nonEmpty => cur(rnd.nextInt(cur.length)) = rnd.nextBoolean()

@@ -11,10 +11,10 @@ import scala.collection.mutable
 import scala.util.Random
 
 /** Differential tests of the write-path kernels — the pivot representation,
-  * FJD and score matrix, reference selection, the bit writer and the StIU
-  * build — against [[ReferenceKernels]], the earlier implementations on
-  * boxed collections kept as references. Every output must be identical:
-  * scores bit for bit, assignments and indexes by `==`.
+  * FJD and score matrix, reference selection, the T′ parse, the bit writer
+  * and the StIU build — against [[ReferenceKernels]], the earlier
+  * implementations kept as references. Every output must be identical:
+  * scores bit for bit, assignments, factor lists and indexes by `==`.
   */
 class WriteKernelsSpec extends SparkSpec {
   import ReferenceKernels._
@@ -83,6 +83,24 @@ class WriteKernelsSpec extends SparkSpec {
     check(1102L, 200)(Prop.forAll(matrix)((sm: Array[Array[Double]]) => RefSelect.select(sm) == select(sm)))
   }
 
+  test("the one T′ parse equals the implicit and explicit Boolean parses on bit-strings of up to 16 bits") {
+    val bits = Gen.choose(0, 16).flatMap(Gen.listOfN(_, Gen.oneOf(false, true))).map(_.toArray)
+    val ref = Gen.frequency(
+      4 -> bits,
+      1 -> Gen.choose(0, 16).map(Array.fill(_)(false)),
+      1 -> Gen.choose(0, 16).map(Array.fill(_)(true)))
+    val pair = for {
+      r <- ref
+      kind <- Gen.choose(0, 2)
+      t <- kind match {
+        case 0 => Gen.const(Array.empty[Boolean])
+        case 1 if r.nonEmpty => Gen.choose(0, r.length - 1).map(i => r.updated(i, !r(i))) // one-bit flip
+        case _ => bits
+      }
+    } yield (r, t)
+    check(1104L, 3000)(Prop.forAll(pair) { case (r, t) => RefFactors.factorizeTf(r, t) == factorizeTf(r, t) })
+  }
+
   test("BitWriter equals a per-bit writer on streams that cross word boundaries") {
     val field = for {
       width <- Gen.frequency(1 -> Gen.const(0), 1 -> Gen.const(64), 6 -> Gen.choose(1, 63))
@@ -141,10 +159,10 @@ class WriteKernelsSpec extends SparkSpec {
   }
 }
 
-/** The write-path kernels as they were on boxed collections: `Option`
-  * factors in a `Vector`, an O(N³) repeated max-scan, a per-bit writer on an
-  * `ArrayBuffer[Long]`, and a `LinkedHashMap` of cell arrivals. References
-  * for [[WriteKernelsSpec]] only.
+/** The write-path kernels as they were: `Option` factors in a `Vector`, an
+  * O(N³) repeated max-scan, two greedy T′ parses on Boolean arrays, a
+  * per-bit writer on an `ArrayBuffer[Long]`, and a `LinkedHashMap` of cell
+  * arrivals. References for [[WriteKernelsSpec]] only.
   */
 object ReferenceKernels {
 
@@ -297,6 +315,78 @@ object ReferenceKernels {
       }
     }
     RefSelect.Assignment(refs.toVector, rrs.map { case (k, v) => k -> v.toVector }.toMap, refOf.toMap)
+  }
+
+  // ---------------------------------------------------------------- T′
+
+  import RefFactors.{TfCom, TfFactor}
+
+  def factorizeTf(ref: Array[Boolean], target: Array[Boolean]): TfCom = {
+    if (ref.length == target.length && ref.indices.forall(i => ref(i) == target(i)))
+      return TfCom(Vector.empty, explicitMode = false)
+    if (target.isEmpty)
+      // An empty factor list means "identical to the reference", so an empty
+      // target against a non-empty reference needs one explicit zero-length
+      // terminal factor.
+      return TfCom(Vector(TfFactor(0, 0, None)), explicitMode = true)
+    implicitParse(ref, target) match {
+      case Some(fs) => TfCom(fs, explicitMode = false)
+      case None     => TfCom(explicitParse(ref, target), explicitMode = true)
+    }
+  }
+
+  private def longestBitMatch(ref: Array[Boolean], target: Array[Boolean], from: Int): (Int, Int) = {
+    var bestS = 0; var bestL = 0
+    var s = 0
+    while (s < ref.length) {
+      var l = 0
+      while (s + l < ref.length && from + l < target.length && ref(s + l) == target(from + l)) l += 1
+      if (l > bestL) { bestL = l; bestS = s }
+      s += 1
+    }
+    (bestS, bestL)
+  }
+
+  private def implicitParse(ref: Array[Boolean], target: Array[Boolean]): Option[IndexedSeq[TfFactor]] = {
+    val out = mutable.ArrayBuffer[TfFactor]()
+    var i = 0
+    while (i < target.length) {
+      val (maxS, maxL) = longestBitMatch(ref, target, i)
+      if (maxL == 0) return None // bit not present in ref at all
+      if (i + maxL == target.length) {
+        // Terminal factor, no mismatch — (S, L) with hasM = false.
+        out += TfFactor(maxS, maxL, None)
+        i += maxL
+      } else {
+        // Need an in-range genuine mismatch so the decoder can infer M.
+        var s = 0; var found = -1
+        while (s < ref.length && found < 0) {
+          if (s + maxL < ref.length) {
+            var l = 0
+            while (l < maxL && ref(s + l) == target(i + l)) l += 1
+            if (l == maxL) found = s // maximality ⇒ ref(s+maxL) != target(i+maxL)
+          }
+          s += 1
+        }
+        if (found < 0) return None
+        val isLast = i + maxL + 1 == target.length
+        out += TfFactor(found, maxL, if (isLast) Some(target(i + maxL)) else None)
+        i += maxL + 1
+      }
+    }
+    // Paper: keep the last factor as (S,L,M) when its mismatch exists.
+    Some(out.toVector)
+  }
+
+  private def explicitParse(ref: Array[Boolean], target: Array[Boolean]): IndexedSeq[TfFactor] = {
+    val out = mutable.ArrayBuffer[TfFactor]()
+    var i = 0
+    while (i < target.length) {
+      val (s, l) = longestBitMatch(ref, target, i)
+      if (i + l == target.length) { out += TfFactor(s, l, None); i += l }
+      else { out += TfFactor(s, l, Some(target(i + l))); i += l + 1 }
+    }
+    out.toVector
   }
 
   // ---------------------------------------------------------- BitWriter

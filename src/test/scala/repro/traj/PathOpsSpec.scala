@@ -13,11 +13,6 @@ class PathOpsSpec extends SparkSpec {
     es.sliding(2).foreach { case Array(a, b) => assert(a.to == b.from); case _ => () }
   }
 
-  test("pathVertices has one more vertex than edges") {
-    assert(PathOps.resolve(net, tu11).vertices.length == 8)
-    assert(PathOps.resolve(net, tu13).vertices.length == 9)
-  }
-
   test("mappedLocations aligns samples with edges via T'") {
     val path = PathOps.resolve(net, tu11)
     val locs = tu11.dists.indices.map(path.mapped)
