@@ -40,6 +40,15 @@ class QueryBench extends SparkSpec {
     (a, (System.nanoTime() - t0) / 1e9)
   }
 
+  /** Median ms per query of `n` queries over 10 more rounds of `utcq` and
+    * `ted`, run alternately once the first round has warmed both up.
+    */
+  private def warmMs(n: Int)(utcq: => Any, ted: => Any): (Double, Double) = {
+    val rounds = (1 to 10).map(_ => (timeIt(utcq)._2, timeIt(ted)._2))
+    def median(xs: Seq[Double]) = xs.sorted.apply(xs.length / 2) * 1000 / n
+    (median(rounds.map(_._1)), median(rounds.map(_._2)))
+  }
+
   test("range queries: UTCQ and TED agree; UTCQ decompresses fewer instances") {
     val rnd = new Random(71)
     val queries = (1 to 60).map { _ =>
@@ -57,6 +66,9 @@ class QueryBench extends SparkSpec {
       f"(decomp ${utcqEngine.stats.instanceDecompressions}), " +
       f"TED ${tedSecs * 1000 / 60}%.2f ms/q (decomp ${tedEngine.instanceDecompressions})")
     println(s"lemma stats: ${utcqEngine.stats}")
+    val (utcqWarm, tedWarm) = warmMs(60)(queries.map { case (re, tq) => utcqEngine.range(re, tq, 0.5) },
+      queries.map { case (re, tq) => tedEngine.range(re, tq, 0.5) })
+    println(f"=== range queries, warm (median of 10 rounds) === UTCQ $utcqWarm%.3f ms/q, TED $tedWarm%.3f ms/q")
     assert(utcqResults == tedResults)
     assert(utcqEngine.stats.instanceDecompressions < tedEngine.instanceDecompressions)
   }
@@ -82,6 +94,14 @@ class QueryBench extends SparkSpec {
         tedEngine.when(t.id, l.edge.from, l.edge.to, l.rd, 0.6)
       }
     }
+    val rndWarm = new Random(72)
+    val points = sample.map { t =>
+      val inst = t.instances.head
+      (t.id, PathOps.resolve(net, inst).mapped(rndWarm.nextInt(inst.numSamples)))
+    }
+    val (utcqWarm, tedWarm) = warmMs(150)(
+      points.foreach { case (id, l) => utcqEngine.when(id, l.edge.from, l.edge.to, l.rd, 0.6) },
+      points.foreach { case (id, l) => tedEngine.when(id, l.edge.from, l.edge.to, l.rd, 0.6) })
     // agreement check on a fresh pass (quantization-consistent inputs)
     val rnd3 = new Random(72)
     sample.foreach { t =>
@@ -94,6 +114,7 @@ class QueryBench extends SparkSpec {
     }
     println(f"=== when queries (150) === UTCQ ${utcqSecs * 1000 / 150}%.3f ms/q, " +
       f"TED ${tedSecs * 1000 / 150}%.3f ms/q, agreement $agree/150")
+    println(f"=== when queries, warm (median of 10 rounds) === UTCQ $utcqWarm%.3f ms/q, TED $tedWarm%.3f ms/q")
     assert(agree == 150) // UTCQ/TED decompress identical quantized data
     assert(utcqEngine.stats.lemma1Prunes > 0)
   }

@@ -73,11 +73,6 @@ object Decompressor {
       RefLayout(origIdx, eLen, svOff, eOff, tfOff.toInt, dOff.toInt, pddpP.decode(r))
     }
 
-    def entries(f: RefFactors.EFactor): Int = f match {
-      case RefFactors.Slm(_, l, _) => l + 1
-      case RefFactors.Sl(_, l)     => l
-      case _: RefFactors.Sm        => 1
-    }
     val refSlotBits = Bits.widthFor(math.max(1, numRefs).toLong)
     val nonRefs = Array.fill(numInsts - numRefs) {
       val origIdx = r.readBits(origIdxBits).toInt
@@ -96,7 +91,7 @@ object Decompressor {
       tfBits += dAt - tfAt
       dBits += r.pos - dAt
       NonRefLayout(origIdx, refSlot, comEOff, prob,
-        factorOffs.result(), eFactors.scanLeft(0)(_ + entries(_)).init.toArray)
+        factorOffs.result(), eFactors.scanLeft(0)(_ + _.entries).init.toArray)
     }
 
     require(r.pos == ct.blobBits, s"the parse ends at bit ${r.pos}")
@@ -116,19 +111,24 @@ object Decompressor {
   def times(ct: CompressedTraj): Array[Int] =
     timesFrom(ct, 0, ct.bits.readBits(ct.tOff, ct.meta.t0Bits).toInt)
 
-  /** Decode timestamps `fromIdx until ct.n`, starting mid-stream at the
+  /** Decode timestamps from sample `fromIdx` on, starting mid-stream at the
     * layout's offset of sample `fromIdx`'s Δ code (the paper's t.pos);
     * `tStart` is the timestamp at `fromIdx` (a temporal entry's t.start).
-    * Cost is proportional to the decoded suffix only.
+    * Decoding stops at the first sample after `fromIdx` whose timestamp
+    * reaches `until`, or at the last sample; by default it decodes the
+    * whole suffix. Cost is proportional to the decoded part only.
     */
-  def timesFrom(ct: CompressedTraj, fromIdx: Int, tStart: Int): Array[Int] = {
-    val deltas = new Array[Int](math.max(0, ct.n - 1 - fromIdx))
-    if (deltas.nonEmpty) {
+  def timesFrom(ct: CompressedTraj, fromIdx: Int, tStart: Int, until: Int = Int.MaxValue): Array[Int] = {
+    val out = new Array[Int](math.max(1, ct.n - fromIdx))
+    out(0) = tStart
+    var k = 0
+    if (out.length > 1) {
       val r = new BitReader(ct.bits, ct.deltaOffs(fromIdx))
-      var i = 0
-      while (i < deltas.length) { deltas(i) = ExpGolomb.decode(r); i += 1 }
+      val ts = ct.meta.ts
+      do { out(k + 1) = Siar.next(out(k), ExpGolomb.decode(r), ts); k += 1 }
+      while (k + 1 < out.length && out(k) < until)
     }
-    Siar.restore(tStart, deltas, ct.meta.ts)
+    if (k + 1 == out.length) out else java.util.Arrays.copyOf(out, k + 1)
   }
 
   // --------------------------------------------------------- references

@@ -30,10 +30,13 @@ object GroundTruth {
       .toSet
 
   /** Timestamps at which an instance passes the mapped location
-    * ⟨(vs→ve), rd⟩ (possibly several if the path repeats the edge).
+    * ⟨(vs→ve), rd⟩ (possibly several if the path repeats the edge). A
+    * relative distance lies in [0, 1] (Def. 7): for any other rd, NaN
+    * included, there is no such location and no pass.
     */
   def passTimes(net: RoadNetwork, times: Array[Int], inst: Instance,
       vs: Int, ve: Int, rd: Double): Seq[Double] = {
+    if (!(rd >= 0.0 && rd <= 1.0)) return Seq.empty
     val path = PathOps.resolve(net, inst)
     val es = path.edges
     val offs = path.offsets

@@ -54,14 +54,14 @@ final class QueryEngine(
 
   /** Bracketing samples (i, i+1) around `t`, found through the temporal
     * index: T̂ is decoded from the last entry with t.start ≤ t on (entries
-    * are slot-ordered). Returns the sample index i and the timestamps
-    * t1 ≤ t ≤ t2 of both samples (t2 = t1 when i is the last sample), or
-    * None when t is outside the trajectory's time span or the index holds
-    * no entry for the trajectory.
+    * are slot-ordered), until a timestamp reaches t. Returns the sample
+    * index i and the timestamps t1 ≤ t ≤ t2 of both samples (t2 = t1 when
+    * i is the last sample), or None when t is outside the trajectory's time
+    * span or the index holds no entry for the trajectory.
     */
-  private def bracket(ct: CompressedTraj, t: Int): Option[(Int, Int, Int)] =
+  private[core] def bracket(ct: CompressedTraj, t: Int): Option[(Int, Int, Int)] =
     index.temporal.getOrElse(ct.id, Vector.empty).takeWhile(_.tStart <= t).lastOption.flatMap { e =>
-      val ts = Decompressor.timesFrom(ct, e.tNo, e.tStart)
+      val ts = Decompressor.timesFrom(ct, e.tNo, e.tStart, until = t)
       if (t > ts.last) None
       else {
         var k = 0
@@ -97,7 +97,7 @@ final class QueryEngine(
     val ct = store(trajId)
     val x = net.xs(vs) + rd * (net.xs(ve) - net.xs(vs))
     val y = net.ys(vs) + rd * (net.ys(ve) - net.ys(vs))
-    val tuples = index.refTuples.getOrElse((trajId, index.grid.cellOf(x, y)), Vector.empty)
+    val tuples = index.tuplesIn(trajId, index.grid.cellOf(x, y))
     if (tuples.isEmpty) return Set.empty
     val times = Decompressor.times(ct)
     def passTimes(j: Int) = GroundTruth.passTimes(net, times, instance(ct, j), vs, ve, rd)
@@ -123,22 +123,19 @@ final class QueryEngine(
   /** Probabilistic range query (Def. 12) over all indexed trajectories:
     * ids whose instances' probability mass inside RE at `tq` reaches α.
     * Candidates are the trajectories whose slot span holds `tq`'s slot.
-    * Lemma 4 prunes trajectories from index information alone; Lemma 2
-    * classifies instances by their bracketing subpath without touching
-    * D(·); Lemma 3 accepts early once confirmed mass reaches α.
+    * Lemma 4 prunes trajectories from index information alone, in one scan
+    * of a candidate's cell-ordered tuples ([[StIU.Index.upperMass]]);
+    * Lemma 2 classifies instances by their bracketing subpath without
+    * touching D(·); Lemma 3 accepts early once confirmed mass reaches α.
     */
   def range(re: Rect, tq: Int, alpha: Double): Set[Long] = {
     val cands = index.bySlot.getOrElse(tq / index.slotSeconds, Vector.empty)
-    val cells = index.grid.cellsOf(re)
+    val box = index.grid.cellBox(re)
 
     cands.iterator.filter { trajId =>
       val ct = store(trajId)
       // ---- Lemma 4: index-only upper bound on the overlap mass ---------
-      var upper = 0.0
-      cells.foreach { c =>
-        index.refTuples.getOrElse((trajId, c), Vector.empty).foreach(rt => upper += rt.pTotal)
-      }
-      if (math.min(1.0, upper) < alpha) {
+      if (math.min(1.0, index.upperMass(trajId, box)) < alpha) {
         stats.lemma4Prunes += 1
         false
       } else bracket(ct, tq).exists { case (i, t1, t2) =>

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.util.{BitReader, BitWriter, Bits}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 /** Referential representation of non-reference instances (§4.2).
@@ -26,13 +27,16 @@ object RefFactors {
   // ------------------------------------------------------------------ E(·)
 
   /** A factor of Com_E. Exactly one of the paper's three shapes. */
-  sealed trait EFactor
+  sealed trait EFactor {
+    /** The number of E entries the factor stands for. */
+    def entries: Int
+  }
   /** Match of length `l` at reference position `s`, then mismatch symbol `m`. */
-  final case class Slm(s: Int, l: Int, m: Int) extends EFactor
+  final case class Slm(s: Int, l: Int, m: Int) extends EFactor { def entries: Int = l + 1 }
   /** Terminal match with no following mismatch (case A). */
-  final case class Sl(s: Int, l: Int) extends EFactor
+  final case class Sl(s: Int, l: Int) extends EFactor { def entries: Int = l }
   /** Symbol `m` absent from the reference (case B; S=|ref|, L=1 implied). */
-  final case class Sm(m: Int) extends EFactor
+  final case class Sm(m: Int) extends EFactor { def entries: Int = 1 }
 
   /** Longest match of `target[from..]` inside `ref`; returns (start, length),
     * preferring the smallest start among maxima. Length 0 if `target(from)`
@@ -65,16 +69,21 @@ object RefFactors {
     out.toVector
   }
 
-  /** Reconstruct an edge sequence from its factors. Empty list = copy ref. */
+  /** Reconstruct an edge sequence from its factors. Empty list = copy ref.
+    * Every match must lie inside `ref`, as [[decodeE]] checks.
+    */
   def reconstructE(ref: Array[Int], factors: Seq[EFactor]): Array[Int] = {
     if (factors.isEmpty) return ref.clone()
-    val out = ArrayBuffer[Int]()
+    var len = 0
+    factors.foreach(f => len += f.entries)
+    val out = new Array[Int](len)
+    var i = 0
     factors.foreach {
-      case Slm(s, l, m) => out ++= ref.slice(s, s + l); out += m
-      case Sl(s, l)     => out ++= ref.slice(s, s + l)
-      case Sm(m)        => out += m
+      case Slm(s, l, m) => System.arraycopy(ref, s, out, i, l); out(i + l) = m; i += l + 1
+      case Sl(s, l)     => System.arraycopy(ref, s, out, i, l); i += l
+      case Sm(m)        => out(i) = m; i += 1
     }
-    out.toArray
+    out
   }
 
   /** Bit widths used when binary-encoding Com_E against a reference of
@@ -104,25 +113,40 @@ object RefFactors {
     }
   }
 
+  /** A factor count, checked against the bits left before a decoder
+    * allocates that many factors: every factor but a terminal T′ factor
+    * reads at least one bit.
+    */
+  private def factorCount(r: BitReader): Int = {
+    val h = ExpGolomb.decodeUnsigned(r)
+    require(h <= r.remaining + 1L, s"$h factors in the ${r.remaining} bits left")
+    h
+  }
+
   /** Decode Com_E; `atFactor` receives the bit offset at which each factor
     * starts (which [[Decompressor.layout]] keeps in
     * `NonRefLayout.comEFactorOffs`).
     */
   def decodeE(lay: ELayout, r: BitReader, atFactor: Int => Unit = _ => ()): IndexedSeq[EFactor] = {
-    val h = ExpGolomb.decodeUnsigned(r)
+    val h = factorCount(r)
     if (h == 0) return Vector.empty
     val lastHasM = r.readBit()
-    (1 to h).map { i =>
+    val out = new Array[EFactor](h)
+    var i = 0
+    while (i < h) {
       atFactor(r.pos)
       val s = r.readBits(lay.sBits).toInt
-      if (s == lay.refLen) Sm(r.readBits(lay.symBits).toInt)
-      else {
-        val l = r.readBits(lay.lBits).toInt + 1
-        require(s + l <= lay.refLen, s"E factor ($s, $l) outside a reference of ${lay.refLen} entries")
-        if (i < h || lastHasM) Slm(s, l, r.readBits(lay.symBits).toInt)
-        else Sl(s, l)
-      }
+      out(i) =
+        if (s == lay.refLen) Sm(r.readBits(lay.symBits).toInt)
+        else {
+          val l = r.readBits(lay.lBits).toInt + 1
+          require(s + l <= lay.refLen, s"E factor ($s, $l) outside a reference of ${lay.refLen} entries")
+          if (i < h - 1 || lastHasM) Slm(s, l, r.readBits(lay.symBits).toInt)
+          else Sl(s, l)
+        }
+      i += 1
     }
+    ArraySeq.unsafeWrapArray(out)
   }
 
   // ----------------------------------------------------------------- T′(·)
@@ -187,24 +211,39 @@ object RefFactors {
     Some(out.toVector)
   }
 
-  /** Reconstruct a time-flag bit-string from its factors. */
+  /** Reconstruct a time-flag bit-string from its factors. Every match, and
+    * every inferred M, must lie inside `ref`, as [[decodeTf]] checks.
+    */
   def reconstructTf(ref: Array[Boolean], com: TfCom): Array[Boolean] = {
-    if (com.factors.isEmpty) return ref.clone()
-    val out = ArrayBuffer[Boolean]()
-    val n = com.factors.length
-    com.factors.zipWithIndex.foreach { case (TfFactor(s, l, m), idx) =>
-      out ++= ref.slice(s, s + l)
-      m match {
-        case Some(b) => out += b
-        case None =>
-          // Non-terminal factors infer M = NOT ref[S+L]; terminal factors
-          // without M add nothing.
-          if (idx < n - 1 && !com.explicitMode) out += !ref(s + l)
-          else if (idx < n - 1 && com.explicitMode)
-            throw new IllegalStateException("explicit-mode non-terminal factor must carry M")
-      }
+    val fs = com.factors
+    val n = fs.length
+    if (n == 0) return ref.clone()
+    // Non-terminal factors infer M = NOT ref[S+L] unless they carry it;
+    // terminal factors without M add nothing.
+    var len = 0
+    var idx = 0
+    while (idx < n) {
+      val f = fs(idx)
+      if (idx < n - 1 && com.explicitMode && f.m.isEmpty)
+        throw new IllegalStateException("explicit-mode non-terminal factor must carry M")
+      len += f.l + (if (f.m.isDefined || idx < n - 1) 1 else 0)
+      idx += 1
     }
-    out.toArray
+    val out = new Array[Boolean](len)
+    var i = 0
+    idx = 0
+    while (idx < n) {
+      val f = fs(idx)
+      System.arraycopy(ref, f.s, out, i, f.l)
+      i += f.l
+      f.m match {
+        case Some(b)             => out(i) = b; i += 1
+        case None if idx < n - 1 => out(i) = !ref(f.s + f.l); i += 1
+        case None                =>
+      }
+      idx += 1
+    }
+    out
   }
 
   final case class TfLayout(refLen: Int) {
@@ -227,19 +266,23 @@ object RefFactors {
   }
 
   def decodeTf(lay: TfLayout, r: BitReader): TfCom = {
-    val h = ExpGolomb.decodeUnsigned(r)
+    val h = factorCount(r)
     if (h == 0) return TfCom(Vector.empty, explicitMode = false)
     val explicitMode = r.readBit()
     val lastHasM = r.readBit()
-    val fs = (1 to h).map { i =>
+    val fs = new Array[TfFactor](h)
+    var i = 0
+    while (i < h) {
       val s = r.readBits(lay.sBits).toInt
       val l = r.readBits(lay.lBits).toInt
-      val inferred = if (i < h && !explicitMode) 1 else 0 // an inferred M reads ref(s + l)
+      val terminal = i == h - 1
+      val inferred = if (!terminal && !explicitMode) 1 else 0 // an inferred M reads ref(s + l)
       require(s + l + inferred <= lay.refLen, s"T′ factor ($s, $l) outside a stored reference of ${lay.refLen} bits")
-      val carriesM = if (i == h) lastHasM else explicitMode
-      TfFactor(s, l, if (carriesM) Some(r.readBit()) else None)
+      val carriesM = if (terminal) lastHasM else explicitMode
+      fs(i) = TfFactor(s, l, if (carriesM) Some(r.readBit()) else None)
+      i += 1
     }
-    TfCom(fs, explicitMode)
+    TfCom(ArraySeq.unsafeWrapArray(fs), explicitMode)
   }
 
   // ------------------------------------------------------------------ D(·)
@@ -283,11 +326,14 @@ object RefFactors {
   }
 
   def decodeD(lay: DLayout, r: BitReader): IndexedSeq[DFactor] = {
-    val h = ExpGolomb.decodeUnsigned(r)
-    (1 to h).map { _ =>
+    val out = new Array[DFactor](factorCount(r))
+    var i = 0
+    while (i < out.length) {
       val pos = r.readBits(lay.posBits).toInt
       require(pos < lay.numSamples, s"D factor at sample $pos of ${lay.numSamples}")
-      DFactor(pos, r.readBits(lay.rdBits))
+      out(i) = DFactor(pos, r.readBits(lay.rdBits))
+      i += 1
     }
+    ArraySeq.unsafeWrapArray(out)
   }
 }

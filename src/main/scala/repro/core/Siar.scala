@@ -22,13 +22,16 @@ object Siar {
     (times(0), deltas)
   }
 
+  /** The timestamp after `t`, whose Δ is `delta`. */
+  def next(t: Int, delta: Int, ts: Int): Int = t + ts + delta
+
   /** Inverse of [[represent]]. */
   def restore(t0: Int, deltas: Array[Int], ts: Int): Array[Int] = {
     val out = new Array[Int](deltas.length + 1)
     out(0) = t0
     var i = 0
     while (i < deltas.length) {
-      out(i + 1) = out(i) + ts + deltas(i)
+      out(i + 1) = next(out(i), deltas(i), ts)
       i += 1
     }
     out

@@ -23,13 +23,20 @@ final case class Grid(minX: Double, minY: Double, cellW: Double, cellH: Double, 
     Rect(minX + cx * cellW, minY + cy * cellH, minX + (cx + 1) * cellW, minY + (cy + 1) * cellH)
   }
 
-  /** All cells intersecting the rectangle. */
+  /** The columns and rows of the cells intersecting the rectangle, clamped
+    * to the grid.
+    */
+  def cellBox(re: Rect): Grid.CellBox = Grid.CellBox(
+    math.min(nx - 1, math.max(0, ((re.minX - minX) / cellW).toInt)),
+    math.min(nx - 1, math.max(0, ((re.maxX - minX) / cellW).toInt)),
+    math.min(ny - 1, math.max(0, ((re.minY - minY) / cellH).toInt)),
+    math.min(ny - 1, math.max(0, ((re.maxY - minY) / cellH).toInt)),
+    nx)
+
+  /** All cells intersecting the rectangle ([[cellBox]]), in ascending order. */
   def cellsOf(re: Rect): Seq[Int] = {
-    val cx0 = math.min(nx - 1, math.max(0, ((re.minX - minX) / cellW).toInt))
-    val cx1 = math.min(nx - 1, math.max(0, ((re.maxX - minX) / cellW).toInt))
-    val cy0 = math.min(ny - 1, math.max(0, ((re.minY - minY) / cellH).toInt))
-    val cy1 = math.min(ny - 1, math.max(0, ((re.maxY - minY) / cellH).toInt))
-    for (cy <- cy0 to cy1; cx <- cx0 to cx1) yield cy * nx + cx
+    val b = cellBox(re)
+    for (cy <- b.cy0 to b.cy1; cx <- b.cx0 to b.cx1) yield cy * nx + cx
   }
 
   /** Cells whose closed rectangle, widened by 1e-9 of a cell, the segment
@@ -70,6 +77,15 @@ final case class Grid(minX: Double, minY: Double, cellW: Double, cellH: Double, 
 }
 
 object Grid {
+
+  /** Columns cx0..cx1 and rows cy0..cy1 of a grid with `nx` columns. */
+  final case class CellBox(cx0: Int, cx1: Int, cy0: Int, cy1: Int, nx: Int) {
+    def contains(cell: Int): Boolean = {
+      val cx = cell % nx
+      val cy = cell / nx
+      cx0 <= cx && cx <= cx1 && cy0 <= cy && cy <= cy1
+    }
+  }
 
   /** Liang–Barsky clipping: the parameter in [0, 1] at which the segment
     * (x0, y0)→(x1, y1) enters the closed rectangle `re`, or NaN if it

@@ -3,6 +3,7 @@ package repro.index
 import repro.core._
 import repro.network.RoadNetwork
 import repro.traj.{Instance, PathOps, ResolvedPath, UTraj}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** The Spatio-temporal Information based Uncertain Trajectory Index
@@ -19,7 +20,9 @@ import scala.collection.mutable
   * non-references encoded against it) traverses, one reference tuple
   * (refHits, p_total, p_max). `refHits` is false in the paper's ∞ case:
   * the reference itself misses the cell but a non-reference of its group
-  * passes it.
+  * passes it. The in-memory [[Index]] keeps a trajectory's tuples in one
+  * list ordered by (cell, ref slot), not per cell as the paper does: a
+  * query's candidates arrive per trajectory.
   *
   * Deviations from §5.2:
   *  - No bit offsets: the paper's t.pos and d.pos are not stored. Every
@@ -53,13 +56,59 @@ object StIU {
       trajId: Long, cell: Int, nonRefSlot: Int,
       rvId: Int, rvNo: Int, maPos: Int)
 
+  /** The in-memory index. `spatial` holds each trajectory's reference
+    * tuples in one list ordered by (cell, ref slot): a range query scans a
+    * candidate's own list once for Lemma 4, and `when` binary-searches it
+    * for one cell ([[tuplesIn]]). Candidates come per trajectory (from
+    * `bySlot`), so a per-trajectory list is read only for trajectories
+    * alive at the query time.
+    */
   final case class Index(
       grid: Grid,
       slotSeconds: Int,
       temporal: Map[Long, IndexedSeq[TemporalEntry]],         // per trajectory, slot-ordered
       bySlot: Map[Int, IndexedSeq[Long]],                     // slot -> trajIds spanning it
-      refTuples: Map[(Long, Int), IndexedSeq[RefTuple]],      // (trajId, cell) -> tuples
+      spatial: Map[Long, IndexedSeq[RefTuple]],               // per trajectory, (cell, ref slot)-ordered
   ) {
+    /** The tuples of `spatial` keyed by (trajId, cell), in ref-slot order.
+      * No query reads it; it stays because the benchmark under
+      * `utcqbench/` (`Probe`) and the tests read it, as with
+      * [[NonRefTuple]], and goes when they stop doing so.
+      */
+    @transient lazy val refTuples: Map[(Long, Int), IndexedSeq[RefTuple]] =
+      spatial.iterator.flatMap { case (id, ts) => ts.groupBy(_.cell).iterator.map { case (c, g) => (id, c) -> g } }.toMap
+
+    /** The tuples of trajectory `trajId` in `cell`, in ref-slot order. */
+    def tuplesIn(trajId: Long, cell: Int): IndexedSeq[RefTuple] = {
+      val ts = spatial.getOrElse(trajId, IndexedSeq.empty)
+      var lo = 0
+      var hi = ts.length
+      while (lo < hi) { // the first tuple with a cell ≥ `cell`
+        val mid = (lo + hi) >>> 1
+        if (ts(mid).cell < cell) lo = mid + 1 else hi = mid
+      }
+      var end = lo
+      while (end < ts.length && ts(end).cell == cell) end += 1
+      ts.slice(lo, end)
+    }
+
+    /** Lemma 4's index-only upper bound on the probability mass of
+      * trajectory `trajId` in the cells of `box`: the sum of p_total over
+      * its tuples there, taken in (cell, ref slot) order, the order of
+      * [[Grid.cellsOf]] and of each cell's tuples.
+      */
+    def upperMass(trajId: Long, box: Grid.CellBox): Double = {
+      val ts = spatial.getOrElse(trajId, IndexedSeq.empty)
+      var upper = 0.0
+      var k = 0
+      while (k < ts.length) {
+        val rt = ts(k)
+        if (box.contains(rt.cell)) upper += rt.pTotal
+        k += 1
+      }
+      upper
+    }
+
     /** Index size in bits under fixed-width fields (for the Fig. 9 index
       * size metric): temporal = id 32 + t.start 17 + t.no; ref tuple = id
       * 32 + cell 16 + ref slot + the ∞ bit + 2 probabilities à 16. t.no < n
@@ -69,7 +118,7 @@ object StIU {
       */
     def sizeBits: Long = {
       val t = temporal.valuesIterator.map(_.size).sum.toLong * (32 + 17 + Compressor.HeaderBits)
-      val r = refTuples.valuesIterator.map(_.size).sum.toLong * (32 + 16 + Compressor.HeaderBits + 1 + 32)
+      val r = spatial.valuesIterator.map(_.size).sum.toLong * (32 + 16 + Compressor.HeaderBits + 1 + 32)
       t + r
     }
   }
@@ -215,7 +264,8 @@ object StIU {
     * lists a trajectory in every slot from its first temporal entry's to its
     * last, also in a slot a sampling gap leaves without an entry: a range
     * query at a time inside the gap still interpolates between the
-    * bracketing samples.
+    * bracketing samples. `spatial` holds each trajectory's tuples sorted
+    * stably by cell, so tuples of one cell stay in ref-slot order.
     */
   def assemble(
       grid: Grid,
@@ -224,7 +274,7 @@ object StIU {
   ): Index = {
     val temporal = Map.newBuilder[Long, IndexedSeq[TemporalEntry]]
     val bySlot = mutable.LongMap.empty[mutable.ArrayBuffer[Long]]
-    val refTuples = Map.newBuilder[(Long, Int), IndexedSeq[RefTuple]]
+    val spatial = Map.newBuilder[Long, IndexedSeq[RefTuple]]
     parts.foreach { case (entries, tuples, _) =>
       if (entries.nonEmpty) {
         val id = entries.head.trajId
@@ -234,14 +284,18 @@ object StIU {
           bySlot.getOrElseUpdate(s.toLong, mutable.ArrayBuffer[Long]()) += id
         }
       }
-      tuples.groupBy(_.cell).foreach { case (cell, ts) => refTuples += (ts.head.trajId, cell) -> ts.toVector }
+      if (tuples.nonEmpty) {
+        val byCell = tuples.toArray
+        java.util.Arrays.sort(byCell, Ordering.by[RefTuple, Int](_.cell)) // stable: a merge sort
+        spatial += tuples.head.trajId -> ArraySeq.unsafeWrapArray(byCell)
+      }
     }
     Index(
       grid,
       slotSeconds,
       temporal.result(),
       bySlot.iterator.map { case (s, ids) => s.toInt -> ids.toVector }.toMap,
-      refTuples.result(),
+      spatial.result(),
     )
   }
 }

@@ -104,7 +104,10 @@ object PathOps {
 
   /** Resolve an instance's path in one walk of its E/T′. */
   def resolve(net: RoadNetwork, inst: Instance): ResolvedPath = {
-    val edges = Array.newBuilder[Edge]
+    var count = 0
+    var i = 0
+    while (i < inst.edges.length) { if (inst.edges(i) != 0) count += 1; i += 1 }
+    val edges = new Array[Edge](count)
     val sampleEdge = new Array[Int](inst.numSamples)
     val offsets = new Array[Double](inst.numSamples)
     var v = inst.sv
@@ -112,13 +115,13 @@ object PathOps {
     var before = 0.0 // path length before the current edge
     var ord = -1
     var s = 0
-    var i = 0
+    i = 0
     while (i < inst.edges.length) {
       val no = inst.edges(i)
       if (no != 0) {
         if (cur != null) before += cur.length
         cur = net.edge(v, no); v = cur.to; ord += 1
-        edges += cur
+        edges(ord) = cur
       }
       if (inst.tflags(i)) {
         sampleEdge(s) = ord
@@ -127,7 +130,7 @@ object PathOps {
       }
       i += 1
     }
-    new ResolvedPath(inst, edges.result(), sampleEdge, offsets)
+    new ResolvedPath(inst, edges, sampleEdge, offsets)
   }
 
   /** The edges of an instance path (0-entries skipped). */

@@ -1,10 +1,11 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.baseline.{TedCompressor, TedQueryEngine}
 import repro.core.GroundTruth.Rect
 import repro.index.{Grid, StIU}
 import repro.network.RoadNetworkGen
-import repro.traj.{Instance, MappedLoc, UTraj, UncertainTrajGen}
+import repro.traj.{Instance, MappedLoc, PathOps, UTraj, UncertainTrajGen}
 
 /** Boundary conditions for the compressor, index, and query engine. */
 class EdgeCasesSpec extends SparkSpec {
@@ -137,6 +138,43 @@ class EdgeCasesSpec extends SparkSpec {
       assert(engine.when(trajs.head.id, vs, 0, 0.5, 0.0).isEmpty, s"vs = $vs")
       assert(GroundTruth.when(net, trajs.head, vs, 0, 0.5, 0.0).isEmpty, s"vs = $vs")
     }
+  }
+
+  test("when with rd outside [0, 1] finds no pass on the engine, TED and ground truth") {
+    // Def. 7 puts rd in [0, 1]. HZ trajectory 0 at rd −0.5 on 1427→1483 once
+    // answered {50815.310} on the engine and {50815.310, 50815.322} on
+    // ground truth, each extrapolating past the edge differently.
+    val hzNet = RoadNetworkGen.generate(RoadNetworkGen.HZ)
+    val hzParams = Params()
+    val hzMeta = DatasetMeta.of(hzNet, UncertainTrajGen.HZ.defaultInterval, hzParams)
+    val hzGrid = Grid.over(hzNet, hzParams.gridCells)
+    val hz = UncertainTrajGen.dataset(hzNet, UncertainTrajGen.HZ, 12)
+    val store = hz.map(t => t.id -> Compressor.compress(hzMeta, hzParams, t).ct).toMap
+    val parts = hz.map(t => StIU.buildFor(hzNet, hzGrid, hzMeta, hzParams, t, store(t.id)))
+    val engine = new QueryEngine(hzNet, hzMeta, StIU.assemble(hzGrid, hzParams.slotSeconds, parts), store)
+    val tedDs = TedCompressor.compress(hzMeta, hz)
+    val ted = new TedQueryEngine(hzNet, tedDs, hzGrid, hzParams.slotSeconds)
+    val tedData = tedDs.trajs.map(t => t.id -> TedCompressor.decompressTraj(tedDs, t)).toMap
+    var passes = 0
+    hz.foreach { t =>
+      val dec = Decompressor.decompress(hzMeta, store(t.id))
+      PathOps.pathEdges(hzNet, dec.instances.head).distinct.foreach { e =>
+        val at = s"trajectory ${t.id} on ${e.from}->${e.to}"
+        Seq(-0.5, 1.5, Double.NaN).foreach { rd =>
+          assert(engine.when(t.id, e.from, e.to, rd, 0.0).isEmpty, s"$at rd $rd")
+          assert(ted.when(t.id, e.from, e.to, rd, 0.0).isEmpty, s"TED $at rd $rd")
+          assert(GroundTruth.when(hzNet, dec, e.from, e.to, rd, 0.0).isEmpty, s"ground truth $at rd $rd")
+        }
+        Seq(0.0, 1.0).foreach { rd =>
+          val exp = GroundTruth.when(hzNet, dec, e.from, e.to, rd, 0.0)
+          assert(engine.when(t.id, e.from, e.to, rd, 0.0) == exp, s"$at rd $rd")
+          assert(ted.when(t.id, e.from, e.to, rd, 0.0) == GroundTruth.when(hzNet, tedData(t.id), e.from, e.to, rd, 0.0),
+            s"TED $at rd $rd")
+          if (exp.nonEmpty) passes += 1
+        }
+      }
+    }
+    assert(passes > 0)
   }
 
   test("compressor rejects instances whose first or last edge lacks a sample") {

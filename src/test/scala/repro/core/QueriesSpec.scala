@@ -54,6 +54,34 @@ class QueriesSpec extends SparkSpec {
     }
   }
 
+  test("bracket decodes T̂ only up to t and answers as over the full decode, at every t of a span") {
+    // The bracket as it was: the whole suffix of T̂ from the temporal entry.
+    def fromFullSuffix(ct: CompressedTraj, t: Int): Option[(Int, Int, Int)] =
+      engine.index.temporal(ct.id).takeWhile(_.tStart <= t).lastOption.flatMap { e =>
+        val ts = Decompressor.timesFrom(ct, e.tNo, e.tStart)
+        if (t > ts.last) None
+        else {
+          var k = 0
+          while (k < ts.length - 1 && ts(k + 1) < t) k += 1
+          Some((e.tNo + k, ts(k), ts(math.min(k + 1, ts.length - 1))))
+        }
+      }
+    trajs.take(20).foreach { t =>
+      val ct = compressed(t.id)
+      val full = Decompressor.times(ct)
+      (full.head - 1 to full.last + 1).foreach { tq =>
+        assert(engine.bracket(ct, tq) == fromFullSuffix(ct, tq), s"traj ${t.id} t $tq")
+      }
+      // The bounded decode is a prefix of the full one, ending at the first
+      // timestamp after the start that reaches t.
+      val mid = full.length / 2
+      val until = full(mid) + 1
+      val part = Decompressor.timesFrom(ct, 0, full.head, until)
+      val end = full.indices.find(i => i > 0 && full(i) >= until).getOrElse(full.length - 1)
+      assert(part.toSeq == full.take(end + 1).toSeq, s"traj ${t.id}")
+    }
+  }
+
   test("where outside the time span is empty") {
     val t = trajs.head
     assert(engine.where(t.id, t.times.head - 100, 0.1).isEmpty)

@@ -198,6 +198,20 @@ class RefFactorsSpec extends SparkSpec {
     }
   }
 
+  test("a factor count beyond the bits left fails before the factors are allocated") {
+    // Counts of 2^29 and the largest the count code takes (2^31 − 2), each
+    // followed by 40 bits: an IllegalArgumentException, not an OutOfMemoryError.
+    Seq(1 << 29, Int.MaxValue - 1).foreach { h =>
+      val w = new BitWriter
+      ExpGolomb.encodeUnsigned(h, w)
+      w.writeBits(0L, 40)
+      val bits = w.toBitVec
+      intercept[IllegalArgumentException](decodeE(ELayout(10, 3), new BitReader(bits)))
+      intercept[IllegalArgumentException](decodeTf(TfLayout(10), new BitReader(bits)))
+      intercept[IllegalArgumentException](decodeD(DLayout(10, 7), new BitReader(bits)))
+    }
+  }
+
   test("D factorization requires equal lengths (shared sample count)") {
     intercept[IllegalArgumentException](factorizeD(Array(1L), Array(1L, 2L)))
   }

@@ -497,7 +497,7 @@ object ReferenceKernels {
       slotSeconds,
       byTraj,
       spans.groupMap(_._1)(_._2).view.mapValues(_.toVector).toMap,
-      parts.flatMap(_._2).groupBy(t => (t.trajId, t.cell)).view.mapValues(_.toVector).toMap,
+      parts.flatMap(_._2).groupBy(_.trajId).view.mapValues(_.sortBy(t => (t.cell, t.refSlot)).toVector).toMap,
     )
   }
 }
