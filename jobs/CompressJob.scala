@@ -2,7 +2,6 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro._
-import repro.core.Params
 import repro.eval.Tables
 import repro.spark.UtcqSpark
 
@@ -22,7 +21,7 @@ object CompressJob {
     import spark.implicits._
 
     val (netP, trajP, baseCount) = SynthData.profiles(profile)
-    val params = JobDefaults.paramsFor(profile)
+    val params = SynthData.paramsFor(profile)
     val pipe = UtcqSpark.pipeline(netP, trajP, params)
     val n = math.max(1, (baseCount * sf).toInt)
 
@@ -44,17 +43,7 @@ object CompressJob {
   }
 }
 
-/** Default parameters per dataset, mirroring §6.1: η_p = 1/512 (DK, CD) or
-  * 1/2048 (HZ); pivots 2 on DK, 1 elsewhere.
-  */
 object JobDefaults {
-  def paramsFor(profile: String): Params = profile.toUpperCase match {
-    case "DK" => Params(numPivots = 2, etaP = 1.0 / 512)
-    case "CD" => Params(numPivots = 1, etaP = 1.0 / 512)
-    case "HZ" => Params(numPivots = 1, etaP = 1.0 / 2048)
-    case _    => Params()
-  }
-
   /** Session that honours spark-submit's --master but runs local[*] when
     * launched directly (e.g. `sbt "runMain repro.jobs.Table8Job"`).
     */

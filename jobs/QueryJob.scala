@@ -18,7 +18,7 @@ object QueryJob {
     val spark = JobDefaults.session(s"utcq-query-$profile")
 
     val (netP, trajP, baseCount) = SynthData.profiles(profile)
-    val params = JobDefaults.paramsFor(profile)
+    val params = SynthData.paramsFor(profile)
     val pipe = UtcqSpark.pipeline(netP, trajP, params)
     val n = math.max(1, (baseCount * sf).toInt)
 

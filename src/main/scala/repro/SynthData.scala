@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.SparkSession
+import repro.core.Params
 
 /** Synthetic network-constrained uncertain trajectories (this repo
   * reproduces VLDB'20 "Compression of Uncertain Trajectories in Road
@@ -32,5 +33,14 @@ object SynthData {
     case "CD" => (repro.network.RoadNetworkGen.CD, repro.traj.UncertainTrajGen.CD, 120000)
     case "HZ" => (repro.network.RoadNetworkGen.HZ, repro.traj.UncertainTrajGen.HZ, 60000)
     case other => throw new IllegalArgumentException(s"unknown dataset profile: $other")
+  }
+
+  /** Default parameters per dataset, mirroring §6.1: η_p = 1/512 (DK, CD) or
+    * 1/2048 (HZ); pivots 2 on DK, 1 elsewhere.
+    */
+  def paramsFor(profile: String): Params = profile.toUpperCase match {
+    case "DK" => Params(numPivots = 2)
+    case "HZ" => Params(etaP = 1.0 / 2048)
+    case _    => Params() // CD, at Table 7's defaults
   }
 }

@@ -77,7 +77,8 @@ object Sizes {
 /** Where one reference instance's fixed-width SV, E, stored T′ and D start
   * inside the blob, and its decoded probability. Derived from the blob by
   * [[Decompressor.layout]] and never stored: the StIU keeps no offsets (the
-  * paper's d.pos), so every reader takes them from here.
+  * paper's d.pos). The four fields follow one another, and
+  * [[Decompressor.refInstance]] reads them in one pass from `svOff`.
   */
 final case class RefLayout(
     origIdx: Int,   // instance index in the original trajectory
@@ -92,7 +93,8 @@ final case class RefLayout(
 /** Where one non-reference instance's factor lists start inside the blob,
   * and its decoded probability. Com_E, Com_T′ and Com_D follow one another
   * from `comEOff`, and [[Decompressor.nonRefInstance]] reads them in one
-  * pass.
+  * pass and rebuilds the instance against its decoded reference; it reads
+  * none of the reference's bits.
   *
   * `comEFactorOffs`/`comEFactorSpans` locate each Com_E factor. No program
   * path reads them since non-references get no StIU tuples of their own

@@ -9,14 +9,16 @@ import repro.util.{BitReader, Bits}
   * from and the bits each component takes (the Table 8 accounting); with
   * [[Compressor]], the writer, this is the only code that knows the blob's
   * bit layout. Every partial decode starts at an offset of that layout:
-  * times from any sample's Δ code ([[timesFrom]]), a reference's
-  * fixed-width components from its own offsets, and a non-reference's
-  * three factor lists from one offset, in one sequential read. The StIU
-  * stores no offsets, so §5.1's flag and original arrays (ω, γ), which
-  * only located the paper's d.pos, are not built. A non-reference is
-  * always decoded whole, from its reference and its factor lists; the
-  * Eq. 4–6 partial decode of a non-reference's γ is not implemented,
-  * because no query path starts mid-way through a non-reference.
+  * times from any sample's Δ code ([[timesFrom]]), a reference's SV, E,
+  * stored T′ and D from its SV offset ([[refInstance]]), and a
+  * non-reference's three factor lists from one offset, each in one
+  * sequential read. The StIU stores no offsets, so §5.1's flag and
+  * original arrays (ω, γ), which only located the paper's d.pos, are not
+  * built. A non-reference is always decoded whole, from its factor lists
+  * against its decoded reference, so a caller that decodes several
+  * members of one group reads the reference's bits once; the Eq. 4–6
+  * partial decode of a non-reference's γ is not implemented, because no
+  * query path starts mid-way through a non-reference.
   *
   * Every decoder reads its widths (symbol, vertex and distance-code widths,
   * Ts) from the blob's own `ct.meta`, the one that wrote it.
@@ -133,58 +135,25 @@ object Decompressor {
 
   // --------------------------------------------------------- references
 
-  def refSv(ct: CompressedTraj, slot: Int): Int =
-    ct.bits.readBits(ct.refs(slot).svOff, ct.meta.svBits).toInt
-
-  def refEdges(ct: CompressedTraj, slot: Int): Array[Int] = {
-    val rl = ct.refs(slot)
-    val symBits = ct.meta.symBits
-    val out = new Array[Int](rl.eLen)
-    var i = 0
-    while (i < rl.eLen) {
-      out(i) = ct.bits.readBits(rl.eOff + i * symBits, symBits).toInt
-      i += 1
-    }
-    out
-  }
-
-  /** Stored T′ of a reference (first/last bits omitted). */
-  def refStoredTf(ct: CompressedTraj, slot: Int): Array[Boolean] = {
-    val rl = ct.refs(slot)
-    val bits = ct.bits
-    val out = new Array[Boolean](math.max(0, rl.eLen - 2))
-    var i = 0
-    while (i < out.length) { out(i) = bits(rl.tfOff + i); i += 1 }
-    out
-  }
-
-  def refTf(ct: CompressedTraj, slot: Int): Array[Boolean] =
-    Compressor.restoreTf(refStoredTf(ct, slot), ct.refs(slot).eLen)
-
-  /** The n fixed-width D codes of a reference, as stored. */
-  private def refDCodes(ct: CompressedTraj, slot: Int): Array[Long] = {
-    val dOff = ct.refs(slot).dOff
-    val bits = ct.meta.pddpD.bits
-    val out = new Array[Long](ct.n)
-    var i = 0
-    while (i < out.length) { out(i) = ct.bits.readBits(dOff + i * bits, bits); i += 1 }
-    out
-  }
-
-  /** Relative distances of D codes under the blob's η_D. */
-  private def dists(ct: CompressedTraj, codes: Array[Long]): Array[Double] = {
-    val pddpD = ct.meta.pddpD
-    val out = new Array[Double](codes.length)
-    var i = 0
-    while (i < out.length) { out(i) = pddpD.dequantize(codes(i)); i += 1 }
-    out
-  }
-
-  def refDists(ct: CompressedTraj, slot: Int): Array[Double] = dists(ct, refDCodes(ct, slot))
-
+  /** Reference `slot`, from one sequential read of its fixed-width SV, E,
+    * stored T′ and D (in blob order, from `svOff`). This is the only reader
+    * of a reference's bits: a non-reference decodes against its result.
+    */
   def refInstance(ct: CompressedTraj, slot: Int): Instance = {
     val rl = ct.refs(slot)
-    named(ct)(Instance(rl.prob, refSv(ct, slot), refEdges(ct, slot), refTf(ct, slot), refDists(ct, slot)))
+    val meta = ct.meta
+    val r = new BitReader(ct.bits, rl.svOff)
+    val sv = r.readBits(meta.svBits).toInt
+    val edges = new Array[Int](rl.eLen)
+    var i = 0
+    while (i < edges.length) { edges(i) = r.readBits(meta.symBits).toInt; i += 1 }
+    val storedTf = new Array[Boolean](math.max(0, rl.eLen - 2))
+    i = 0
+    while (i < storedTf.length) { storedTf(i) = r.readBit(); i += 1 }
+    val dists = new Array[Double](ct.n)
+    i = 0
+    while (i < dists.length) { dists(i) = meta.pddpD.decode(r); i += 1 }
+    named(ct)(Instance(rl.prob, sv, edges, Compressor.restoreTf(storedTf, rl.eLen), dists))
   }
 
   /** `in`, with the `IllegalArgumentException` of an instance whose decoded
@@ -197,20 +166,20 @@ object Decompressor {
   // ----------------------------------------------------- non-references
 
   /** Non-reference `k`, from one sequential read of its Com_E, Com_T′ and
-    * Com_D (in blob order, from `comEOff`) against its reference.
+    * Com_D (in blob order, from `comEOff`), rebuilt against `ref`, its
+    * decoded reference (`refInstance` of its `refSlot`).
     */
-  def nonRefInstance(ct: CompressedTraj, k: Int): Instance = {
+  def nonRefInstance(ct: CompressedTraj, k: Int, ref: Instance): Instance = {
     val nl = ct.nonRefs(k)
-    val slot = nl.refSlot
-    val refLen = ct.refs(slot).eLen
+    val refLen = ref.edges.length
+    val pddpD = ct.meta.pddpD
     val r = new BitReader(ct.bits, nl.comEOff)
     val eFactors = RefFactors.decodeE(RefFactors.ELayout(refLen, ct.meta.symBits), r)
     val tfCom = RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), r)
-    val dFactors = RefFactors.decodeD(RefFactors.DLayout(ct.n, ct.meta.pddpD.bits), r)
-    val edges = RefFactors.reconstructE(refEdges(ct, slot), eFactors)
-    val tf = Compressor.restoreTf(RefFactors.reconstructTf(refStoredTf(ct, slot), tfCom), edges.length)
-    val codes = RefFactors.reconstructD(refDCodes(ct, slot), dFactors)
-    named(ct)(Instance(nl.prob, refSv(ct, slot), edges, tf, dists(ct, codes)))
+    val dFactors = RefFactors.decodeD(RefFactors.DLayout(ct.n, pddpD.bits), r)
+    val edges = RefFactors.reconstructE(ref.edges, eFactors)
+    val tf = Compressor.restoreTf(RefFactors.reconstructTf(Compressor.storedTf(ref.tflags), tfCom), edges.length)
+    named(ct)(Instance(nl.prob, ref.sv, edges, tf, RefFactors.reconstructD(ref.dists, dFactors, pddpD)))
   }
 
   /** Full decompression: the uncertain trajectory with instances back in
@@ -222,8 +191,9 @@ object Decompressor {
   def decompress(meta: DatasetMeta, ct: CompressedTraj): UTraj = {
     ct.requireMeta(meta)
     val insts = new Array[Instance](ct.numInstances)
-    ct.refs.indices.foreach(s => insts(ct.refs(s).origIdx) = refInstance(ct, s))
-    ct.nonRefs.indices.foreach(k => insts(ct.nonRefs(k).origIdx) = nonRefInstance(ct, k))
+    val refs = ct.refs.indices.map(refInstance(ct, _))
+    ct.refs.indices.foreach(s => insts(ct.refs(s).origIdx) = refs(s))
+    ct.nonRefs.indices.foreach(k => insts(ct.nonRefs(k).origIdx) = nonRefInstance(ct, k, refs(ct.nonRefs(k).refSlot)))
     UTraj(ct.id, times(ct), meta.ts, insts)
   }
 }

@@ -14,7 +14,8 @@ import scala.collection.mutable
   * temporal entry at or before the query time, and T̂ decoded from its Δ
   * offset on. A trajectory's instances are numbered in blob order,
   * references first, then non-references; [[prob]] reads an instance's
-  * probability from the layout and [[instance]] decodes it whole.
+  * probability from the layout and [[instance]] decodes it whole, once per
+  * query call for a reference; nothing decoded outlives the call.
   *
   * Counters record how often each lemma avoided decompression so tests and
   * benches can verify the filtering actually fires. They are plain `var`s:
@@ -45,11 +46,15 @@ final class QueryEngine(
   private def prob(ct: CompressedTraj, j: Int): Double =
     if (j < ct.refs.length) ct.refs(j).prob else ct.nonRefs(j - ct.refs.length).prob
 
-  /** Instance `j` in blob order, decoded whole. */
-  private def instance(ct: CompressedTraj, j: Int): Instance = {
+  /** Instance `j` in blob order, decoded whole. `refs`, one array per
+    * query call indexed by ref slot, keeps the references decoded so far:
+    * each is decoded at most once, and a non-reference against it.
+    */
+  private def instance(ct: CompressedTraj, refs: Array[Instance], j: Int): Instance = {
     stats.instanceDecompressions += 1
-    if (j < ct.refs.length) Decompressor.refInstance(ct, j)
-    else Decompressor.nonRefInstance(ct, j - ct.refs.length)
+    val slot = if (j < refs.length) j else ct.nonRefs(j - refs.length).refSlot
+    if (refs(slot) == null) refs(slot) = Decompressor.refInstance(ct, slot)
+    if (j < refs.length) refs(slot) else Decompressor.nonRefInstance(ct, j - refs.length, refs(slot))
   }
 
   /** Bracketing samples (i, i+1) around `t`, found through the temporal
@@ -79,8 +84,9 @@ final class QueryEngine(
     store.get(trajId).flatMap(ct => bracket(ct, t).map((ct, _))) match {
       case None => Set.empty
       case Some((ct, (i, t1, t2))) =>
+        val refs = new Array[Instance](ct.refs.length)
         (0 until ct.numInstances).iterator.filter(prob(ct, _) >= alpha).map { j =>
-          val loc = PathOps.resolve(net, instance(ct, j)).between(i, t1, t2, t)
+          val loc = PathOps.resolve(net, instance(ct, refs, j)).between(i, t1, t2, t)
           (loc.edge.from, loc.edge.to, loc.ndist)
         }.toSet
     }
@@ -88,19 +94,22 @@ final class QueryEngine(
   // --------------------------------------------------------------- when
 
   /** Probabilistic when query (Def. 11): timestamps at which instances with
-    * probability ≥ α pass ⟨(vs→ve), rd⟩. The cell of the point holds one
-    * tuple per reference group; Lemma 1 skips a group whose p_max (and own
-    * probability) cannot reach α without decompressing anything.
+    * probability ≥ α pass ⟨(vs→ve), rd⟩. Def. 7 puts rd in [0, 1], so any
+    * other rd (or NaN) answers ∅ before the index is read. The cell of the
+    * point holds one tuple per reference group; Lemma 1 skips a group whose
+    * p_max (and own probability) cannot reach α without decompressing
+    * anything, and T̂ is decoded only for the first instance read.
     */
   def when(trajId: Long, vs: Int, ve: Int, rd: Double, alpha: Double): Set[Double] = {
-    if (!store.contains(trajId) || net.edgeBetween(vs, ve).isEmpty) return Set.empty
+    if (!(rd >= 0 && rd <= 1) || !store.contains(trajId) || net.edgeBetween(vs, ve).isEmpty) return Set.empty
     val ct = store(trajId)
     val x = net.xs(vs) + rd * (net.xs(ve) - net.xs(vs))
     val y = net.ys(vs) + rd * (net.ys(ve) - net.ys(vs))
     val tuples = index.tuplesIn(trajId, index.grid.cellOf(x, y))
     if (tuples.isEmpty) return Set.empty
-    val times = Decompressor.times(ct)
-    def passTimes(j: Int) = GroundTruth.passTimes(net, times, instance(ct, j), vs, ve, rd)
+    lazy val times = Decompressor.times(ct)
+    val refs = new Array[Instance](ct.refs.length)
+    def passTimes(j: Int) = GroundTruth.passTimes(net, times, instance(ct, refs, j), vs, ve, rd)
 
     val out = mutable.Set[Double]()
     tuples.foreach { rt =>
@@ -139,9 +148,10 @@ final class QueryEngine(
         stats.lemma4Prunes += 1
         false
       } else bracket(ct, tq).exists { case (i, t1, t2) =>
+        val refs = new Array[Instance](ct.refs.length)
         var confirmed = 0.0
         val accepted = (0 until ct.numInstances).iterator.exists { j =>
-          val inst = instance(ct, j)
+          val inst = instance(ct, refs, j)
           // Subpath between the bracketing mapped locations (Lemma 2).
           val path = PathOps.resolve(net, inst)
           val sp = subpathVertices(path, i)

@@ -307,9 +307,12 @@ object RefFactors {
     out.toVector
   }
 
-  def reconstructD(refCodes: Array[Long], factors: Seq[DFactor]): Array[Long] = {
-    val out = refCodes.clone()
-    factors.foreach(f => out(f.pos) = f.code)
+  /** D of a non-reference: `ref`'s distances with each factor's code,
+    * dequantized by `pddp`; exact, since η codes are dyadic fractions.
+    */
+  def reconstructD(ref: Array[Double], factors: Seq[DFactor], pddp: Pddp): Array[Double] = {
+    val out = ref.clone()
+    factors.foreach(f => out(f.pos) = pddp.dequantize(f.code))
     out
   }
 

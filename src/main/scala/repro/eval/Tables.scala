@@ -4,7 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.SynthData
 import repro.baseline.TedCompressor
 import repro.core.Sizes
-import repro.jobs.JobDefaults
 import repro.network.RoadNetworkGen
 import repro.spark.UtcqSpark
 
@@ -92,7 +91,7 @@ object Tables {
   def table8(spark: SparkSession, profile: String, sf: Double): Table8Row = {
     import spark.implicits._
     val (netP, trajP, baseCount) = SynthData.profiles(profile)
-    val params = JobDefaults.paramsFor(profile)
+    val params = SynthData.paramsFor(profile)
     val pipe = UtcqSpark.pipeline(netP, trajP, params)
     val n = math.max(1, (baseCount * sf).toInt)
 

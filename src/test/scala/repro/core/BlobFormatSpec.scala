@@ -3,7 +3,6 @@ package repro.core
 import java.io.{ByteArrayInputStream, ByteArrayOutputStream, ObjectInputStream, ObjectOutputStream}
 import java.util.zip.CRC32
 import repro.SparkSpec
-import repro.jobs.JobDefaults
 import repro.network.RoadNetworkGen
 import repro.traj.{UTraj, UncertainTrajGen}
 import repro.util.BitReader
@@ -17,7 +16,7 @@ class BlobFormatSpec extends SparkSpec {
   private def setup(profile: String): (DatasetMeta, Params, IndexedSeq[UTraj]) = {
     val (netP, trajP, _) = repro.SynthData.profiles(profile)
     val net = RoadNetworkGen.generate(netP)
-    val params = JobDefaults.paramsFor(profile)
+    val params = repro.SynthData.paramsFor(profile)
     (DatasetMeta.of(net, trajP.defaultInterval, params), params, UncertainTrajGen.dataset(net, trajP, 100))
   }
 
@@ -63,7 +62,7 @@ class BlobFormatSpec extends SparkSpec {
       assert(ct.deltaOffs.length == t.times.length - 1)
       assert(ct.numInstances == t.instances.length)
       assert((ct.refs.map(_.origIdx) ++ ct.nonRefs.map(_.origIdx)).sorted.toSeq == t.instances.indices)
-      ct.refs.indices.foreach(s => assert(Decompressor.refSv(ct, s) == t.instances(ct.refs(s).origIdx).sv))
+      ct.refs.indices.foreach(s => assert(Decompressor.refInstance(ct, s).sv == t.instances(ct.refs(s).origIdx).sv))
       ct.nonRefs.indices.foreach { k =>
         // Each factor offset (`comEFactorOffs`) is where that factor's S
         // field starts, and each span is where its entries start in E(nonref).
@@ -76,7 +75,7 @@ class BlobFormatSpec extends SparkSpec {
           case _: RefFactors.Sm        => lay.refLen
         }
         assert(nl.comEFactorOffs.toSeq.map(ct.bits.readBits(_, lay.sBits).toInt) == starts)
-        val edges = RefFactors.reconstructE(Decompressor.refEdges(ct, nl.refSlot), factors)
+        val edges = RefFactors.reconstructE(Decompressor.refInstance(ct, nl.refSlot).edges, factors)
         assert(edges.toSeq == t.instances(nl.origIdx).edges.toSeq)
         assert((nl.comEFactorSpans :+ edges.length).sliding(2).forall(p => p.length < 2 || p(0) < p(1)))
       }

@@ -143,7 +143,8 @@ class EdgeCasesSpec extends SparkSpec {
   test("when with rd outside [0, 1] finds no pass on the engine, TED and ground truth") {
     // Def. 7 puts rd in [0, 1]. HZ trajectory 0 at rd −0.5 on 1427→1483 once
     // answered {50815.310} on the engine and {50815.310, 50815.322} on
-    // ground truth, each extrapolating past the edge differently.
+    // ground truth, each extrapolating past the edge differently. The
+    // engine answers such an rd without decoding any instance.
     val hzNet = RoadNetworkGen.generate(RoadNetworkGen.HZ)
     val hzParams = Params()
     val hzMeta = DatasetMeta.of(hzNet, UncertainTrajGen.HZ.defaultInterval, hzParams)
@@ -161,7 +162,9 @@ class EdgeCasesSpec extends SparkSpec {
       PathOps.pathEdges(hzNet, dec.instances.head).distinct.foreach { e =>
         val at = s"trajectory ${t.id} on ${e.from}->${e.to}"
         Seq(-0.5, 1.5, Double.NaN).foreach { rd =>
+          val decoded = engine.stats.instanceDecompressions
           assert(engine.when(t.id, e.from, e.to, rd, 0.0).isEmpty, s"$at rd $rd")
+          assert(engine.stats.instanceDecompressions == decoded, s"$at rd $rd decodes instances")
           assert(ted.when(t.id, e.from, e.to, rd, 0.0).isEmpty, s"TED $at rd $rd")
           assert(GroundTruth.when(hzNet, dec, e.from, e.to, rd, 0.0).isEmpty, s"ground truth $at rd $rd")
         }

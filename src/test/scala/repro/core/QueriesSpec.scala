@@ -124,18 +124,49 @@ class QueriesSpec extends SparkSpec {
     }
   }
 
-  test("when finds a pass in a cell its edge only clips (HZ trajectory 51)") {
+  /** 52 HZ trajectories at Table 7's defaults: (network, store, decoded, engine). */
+  private lazy val hz = {
     val hzNet = RoadNetworkGen.generate(RoadNetworkGen.HZ)
     val hzParams = Params()
     val hzMeta = DatasetMeta.of(hzNet, UncertainTrajGen.HZ.defaultInterval, hzParams)
     val hzGrid = Grid.over(hzNet, hzParams.gridCells)
-    val hz = UncertainTrajGen.dataset(hzNet, UncertainTrajGen.HZ, 52)
-    val store = hz.map(t => t.id -> Compressor.compress(hzMeta, hzParams, t).ct).toMap
-    val parts = hz.map(t => StIU.buildFor(hzNet, hzGrid, hzMeta, hzParams, t, store(t.id)))
+    val hzTrajs = UncertainTrajGen.dataset(hzNet, UncertainTrajGen.HZ, 52)
+    val store = hzTrajs.map(t => t.id -> Compressor.compress(hzMeta, hzParams, t).ct).toMap
+    val parts = hzTrajs.map(t => StIU.buildFor(hzNet, hzGrid, hzMeta, hzParams, t, store(t.id)))
     val hzEngine = new QueryEngine(hzNet, hzMeta, StIU.assemble(hzGrid, hzParams.slotSeconds, parts), store)
+    (hzNet, store, hzTrajs.map(t => Decompressor.decompress(hzMeta, store(t.id))), hzEngine)
+  }
+
+  test("when finds a pass in a cell its edge only clips (HZ trajectory 51)") {
+    val (hzNet, _, hzDec, hzEngine) = hz
     val got = hzEngine.when(51, 2110, 2053, 0.2373, 0.3)
     assert(got.size == 1 && math.abs(got.head - 79196.06) < 0.005, got)
-    assert(got == GroundTruth.when(hzNet, Decompressor.decompress(hzMeta, store(51)), 2110, 2053, 0.2373, 0.3))
+    assert(got == GroundTruth.when(hzNet, hzDec.find(_.id == 51).get, 2110, 2053, 0.2373, 0.3))
+  }
+
+  test("where, when and range decode each non-reference against its own reference (HZ, several groups)") {
+    // Every query reads instances of several groups in one call, so a
+    // non-reference rebuilt against another group's reference shows.
+    val (hzNet, store, hzDec, hzEngine) = hz
+    val multi = hzDec.filter(t => store(t.id).refs.length >= 2)
+    assert(multi.size >= 5, multi.size)
+    multi.foreach { t =>
+      val ct = store(t.id)
+      t.times.indices.by(3).foreach { i =>
+        assert(hzEngine.where(t.id, t.times(i), 0.0) == GroundTruth.where(hzNet, t, t.times(i), 0.0), s"where traj ${t.id} at $i")
+      }
+      ct.nonRefs.foreach { nl =>
+        val l = PathOps.resolve(hzNet, t.instances(nl.origIdx)).mapped(t.numSamples / 2)
+        assert(hzEngine.when(t.id, l.edge.from, l.edge.to, l.rd, 0.0) ==
+          GroundTruth.when(hzNet, t, l.edge.from, l.edge.to, l.rd, 0.0), s"when traj ${t.id} instance ${nl.origIdx}")
+        val (x, y) = GroundTruth.locXY(hzNet, l)
+        val re = Rect(x - 200, y - 200, x + 200, y + 200)
+        val tq = t.times(t.numSamples / 2)
+        Seq(0.5, 0.9).foreach { a =>
+          assert(hzEngine.range(re, tq, a) == GroundTruth.range(hzNet, hzDec, re, tq, a), s"range traj ${t.id} alpha $a")
+        }
+      }
+    }
   }
 
   test("when reaches non-references through an ∞ tuple when only they pass the point") {

@@ -12,10 +12,11 @@ import org.scalacheck.rng.Seed
 import scala.collection.mutable
 
 /** Differential tests of the read-path kernels — the factor decoders and
-  * reconstructions, the path walk, Lemma 4's upper bound and `when`'s
-  * tuple lookup — against [[ReadReferenceKernels]], the earlier
-  * implementations kept as references. Every output must be identical:
-  * factor lists, arrays and tuple lists by `==`, sums bit for bit.
+  * reconstructions, the instance decoders, the path walk, Lemma 4's upper
+  * bound and `when`'s tuple lookup — against [[ReadReferenceKernels]], the
+  * earlier implementations kept as references. Every output must be
+  * identical: factor lists, arrays and tuple lists by `==`, sums and
+  * distances bit for bit.
   */
 class ReadKernelsSpec extends SparkSpec {
   import ReadReferenceKernels._
@@ -138,6 +139,28 @@ class ReadKernelsSpec extends SparkSpec {
     }
   }
 
+  private def contents(in: Instance) =
+    (in.prob, in.sv, in.edges.toSeq, in.tflags.toSeq, in.dists.toSeq.map(java.lang.Double.doubleToRawLongBits))
+
+  test("every instance of DK, CD and HZ blobs decodes against its decoded reference as with the single-field readers") {
+    for ((name, _, _, meta, cts) <- datasets; ct <- cts) {
+      val refs = ct.refs.indices.map(Decompressor.refInstance(ct, _))
+      refs.indices.foreach { s =>
+        assert(contents(refs(s)) == contents(refInstance(ct, s)), s"$name trajectory ${ct.id} reference $s")
+      }
+      ct.nonRefs.indices.foreach { k =>
+        assert(contents(Decompressor.nonRefInstance(ct, k, refs(ct.nonRefs(k).refSlot))) == contents(nonRefInstance(ct, k)),
+          s"$name trajectory ${ct.id} non-reference $k")
+      }
+      // Full decompression equals decoding every instance by itself.
+      val one = ct.refs.indices.map(s => ct.refs(s).origIdx -> refInstance(ct, s)) ++
+        ct.nonRefs.indices.map(k => ct.nonRefs(k).origIdx -> nonRefInstance(ct, k))
+      val dec = Decompressor.decompress(meta, ct)
+      assert(dec.instances.toSeq.map(contents) == one.sortBy(_._1).map(p => contents(p._2)), s"$name trajectory ${ct.id}")
+      assert(dec.times.toSeq == Decompressor.times(ct).toSeq)
+    }
+  }
+
   test("PathOps.resolve equals the ArrayBuilder walk on every instance of DK, CD and HZ") {
     for ((name, net, trajs, _, _) <- datasets; t <- trajs; inst <- t.instances) {
       val path = PathOps.resolve(net, inst)
@@ -185,9 +208,11 @@ class ReadKernelsSpec extends SparkSpec {
 }
 
 /** The read-path kernels as they were: factor lists built with
-  * `Range.map`, reconstructions on `ArrayBuffer`s, a path walk growing an
-  * `ArrayBuilder`, and the StIU spatial tuples in a map keyed by
-  * (trajId, cell). References for [[ReadKernelsSpec]] only.
+  * `Range.map`, reconstructions on `ArrayBuffer`s, instance decoders that
+  * read a reference one field at a time (again for each of its
+  * non-references), a path walk growing an `ArrayBuilder`, and the StIU
+  * spatial tuples in a map keyed by (trajId, cell). References for
+  * [[ReadKernelsSpec]] only.
   */
 object ReadReferenceKernels {
 
@@ -263,6 +288,93 @@ object ReadReferenceKernels {
       require(pos < lay.numSamples, s"D factor at sample $pos of ${lay.numSamples}")
       DFactor(pos, r.readBits(lay.rdBits))
     }
+  }
+
+  // -------------------------------------------------------- Decompressor
+
+  def refSv(ct: CompressedTraj, slot: Int): Int =
+    ct.bits.readBits(ct.refs(slot).svOff, ct.meta.svBits).toInt
+
+  def refEdges(ct: CompressedTraj, slot: Int): Array[Int] = {
+    val rl = ct.refs(slot)
+    val symBits = ct.meta.symBits
+    val out = new Array[Int](rl.eLen)
+    var i = 0
+    while (i < rl.eLen) {
+      out(i) = ct.bits.readBits(rl.eOff + i * symBits, symBits).toInt
+      i += 1
+    }
+    out
+  }
+
+  /** Stored T′ of a reference (first/last bits omitted). */
+  def refStoredTf(ct: CompressedTraj, slot: Int): Array[Boolean] = {
+    val rl = ct.refs(slot)
+    val bits = ct.bits
+    val out = new Array[Boolean](math.max(0, rl.eLen - 2))
+    var i = 0
+    while (i < out.length) { out(i) = bits(rl.tfOff + i); i += 1 }
+    out
+  }
+
+  def refTf(ct: CompressedTraj, slot: Int): Array[Boolean] =
+    Compressor.restoreTf(refStoredTf(ct, slot), ct.refs(slot).eLen)
+
+  /** The n fixed-width D codes of a reference, as stored. */
+  private def refDCodes(ct: CompressedTraj, slot: Int): Array[Long] = {
+    val dOff = ct.refs(slot).dOff
+    val bits = ct.meta.pddpD.bits
+    val out = new Array[Long](ct.n)
+    var i = 0
+    while (i < out.length) { out(i) = ct.bits.readBits(dOff + i * bits, bits); i += 1 }
+    out
+  }
+
+  /** Relative distances of D codes under the blob's η_D. */
+  private def dists(ct: CompressedTraj, codes: Array[Long]): Array[Double] = {
+    val pddpD = ct.meta.pddpD
+    val out = new Array[Double](codes.length)
+    var i = 0
+    while (i < out.length) { out(i) = pddpD.dequantize(codes(i)); i += 1 }
+    out
+  }
+
+  def refDists(ct: CompressedTraj, slot: Int): Array[Double] = dists(ct, refDCodes(ct, slot))
+
+  def refInstance(ct: CompressedTraj, slot: Int): Instance = {
+    val rl = ct.refs(slot)
+    named(ct)(Instance(rl.prob, refSv(ct, slot), refEdges(ct, slot), refTf(ct, slot), refDists(ct, slot)))
+  }
+
+  /** `in`, with the `IllegalArgumentException` of an instance whose decoded
+    * E, T′ and D do not align (a corrupt blob) naming the trajectory.
+    */
+  private def named(ct: CompressedTraj)(in: => Instance): Instance =
+    try in
+    catch { case e: IllegalArgumentException => throw new IllegalArgumentException(s"trajectory ${ct.id}: ${e.getMessage}", e) }
+
+  /** Non-reference `k`, from one sequential read of its Com_E, Com_T′ and
+    * Com_D (in blob order, from `comEOff`) against its reference.
+    */
+  def nonRefInstance(ct: CompressedTraj, k: Int): Instance = {
+    val nl = ct.nonRefs(k)
+    val slot = nl.refSlot
+    val refLen = ct.refs(slot).eLen
+    val r = new BitReader(ct.bits, nl.comEOff)
+    val eFactors = RefFactors.decodeE(RefFactors.ELayout(refLen, ct.meta.symBits), r)
+    val tfCom = RefFactors.decodeTf(RefFactors.TfLayout(math.max(0, refLen - 2)), r)
+    val dFactors = RefFactors.decodeD(RefFactors.DLayout(ct.n, ct.meta.pddpD.bits), r)
+    val edges = RefFactors.reconstructE(refEdges(ct, slot), eFactors)
+    val tf = Compressor.restoreTf(RefFactors.reconstructTf(refStoredTf(ct, slot), tfCom), edges.length)
+    val codes = reconstructD(refDCodes(ct, slot), dFactors)
+    named(ct)(Instance(nl.prob, refSv(ct, slot), edges, tf, dists(ct, codes)))
+  }
+
+  /** `RefFactors.reconstructD` as it was, on D codes. */
+  def reconstructD(refCodes: Array[Long], factors: Seq[DFactor]): Array[Long] = {
+    val out = refCodes.clone()
+    factors.foreach(f => out(f.pos) = f.code)
+    out
   }
 
   // ------------------------------------------------------------ PathOps

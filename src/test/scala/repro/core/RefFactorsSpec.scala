@@ -174,7 +174,8 @@ class RefFactorsSpec extends SparkSpec {
     val target = Array(1L, 9L, 3L, 7L)
     val fs = factorizeD(ref, target)
     assert(fs == Vector(DFactor(1, 9L), DFactor(3, 7L)))
-    assert(reconstructD(ref, fs).toSeq == target.toSeq)
+    val pddp = Pddp(1.0 / 128)
+    assert(reconstructD(ref.map(pddp.dequantize), fs, pddp).toSeq == target.map(pddp.dequantize).toSeq)
   }
 
   test("equal D sequences give the empty factor list") {
@@ -194,7 +195,8 @@ class RefFactorsSpec extends SparkSpec {
       encodeD(fs, lay, w)
       val back = decodeD(lay, new BitReader(w.toBitVec))
       assert(back == fs)
-      assert(reconstructD(ref, back).toSeq == target.toSeq)
+      val pddp = Pddp(1.0 / 128)
+      assert(reconstructD(ref.map(pddp.dequantize), back, pddp).toSeq == target.map(pddp.dequantize).toSeq)
     }
   }
 
